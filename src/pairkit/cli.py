@@ -47,19 +47,26 @@ def _require_unipotent(problem):
     return problem
 
 
-def _validated_pair_report(problem, idx: int) -> Report:
-    """Group-law + action validation merged with the pair check."""
+def _validated_pair_report(args):
+    """Group-law + action validation merged with the check of pair
+    `args.pair`, each run once.
+
+    Returns (problem, report, pair), where pair is the checked pair.  When a
+    check failed the report has already been printed and pair is None.
+    """
+    problem = _require_unipotent(_load(args.file))
     report = Report("pair-check")
-    report.info("pair", idx)
-    law_report = validate_group_law(problem.group)
-    report.merge(law_report, prefix="law-")
-    action_report = validate_action(problem.action)
-    report.merge(action_report, prefix="action-")
+    report.info("pair", args.pair)
+    report.merge(validate_group_law(problem.group), prefix="law-")
+    report.merge(validate_action(problem.action), prefix="action-")
+    pair = None
+    if report.passed:
+        pair = pair_from_problem(problem, args.pair)
+        report.merge(check_alpha_pair(problem.action, pair))
     if not report.passed:
-        return report
-    pair = pair_from_problem(problem, idx)
-    report.merge(check_alpha_pair(problem.action, pair))
-    return report
+        _print(report, args.json)
+        pair = None
+    return problem, report, pair
 
 
 def cmd_check_group(args) -> int:
@@ -95,10 +102,11 @@ def cmd_check_action(args) -> int:
 
 
 def cmd_check_pair(args) -> int:
-    problem = _require_unipotent(_load(args.file))
-    report = _validated_pair_report(problem, args.pair)
+    _, report, pair = _validated_pair_report(args)
+    if pair is None:
+        return 1
     _print(report, args.json)
-    return 0 if report.passed else 1
+    return 0
 
 
 def cmd_trdeg(args) -> int:
@@ -123,13 +131,9 @@ def cmd_trdeg(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    problem = _require_unipotent(_load(args.file))
-    report = _validated_pair_report(problem, args.pair)
-    if not report.passed:
-        _print(report, args.json)
+    problem, report, pair = _validated_pair_report(args)
+    if pair is None:
         return 1
-    pair = pair_from_problem(problem, args.pair)
-    check_alpha_pair(problem.action, pair)
     if not pair.principle:
         report.info("hint", "pair is not principle; run `factor` first for a "
                     "quasi-principle pair")
@@ -170,13 +174,9 @@ def cmd_factor(args) -> int:
 
 
 def cmd_fppf(args) -> int:
-    problem = _require_unipotent(_load(args.file))
-    report = _validated_pair_report(problem, args.pair)
-    if not report.passed:
-        _print(report, args.json)
+    problem, report, pair = _validated_pair_report(args)
+    if pair is None:
         return 1
-    pair = pair_from_problem(problem, args.pair)
-    check_alpha_pair(problem.action, pair)
     cover, cover_report = build_fppf_cover(problem.action, pair)
     report.merge(cover_report)
     if args.emit:
@@ -186,13 +186,9 @@ def cmd_fppf(args) -> int:
 
 
 def cmd_cross_section(args) -> int:
-    problem = _require_unipotent(_load(args.file))
-    report = _validated_pair_report(problem, args.pair)
-    if not report.passed:
-        _print(report, args.json)
+    problem, report, pair = _validated_pair_report(args)
+    if pair is None:
         return 1
-    pair = pair_from_problem(problem, args.pair)
-    check_alpha_pair(problem.action, pair)
     report.merge(cross_section_report(problem.action, pair, problem.points))
     _print(report, args.json)
     return 0 if report.passed else 1

@@ -57,10 +57,6 @@ class FieldSpec:
     def prime(p: int) -> "FieldSpec":
         return FieldSpec("prime-field", p)
 
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.p is not None else 0
-
     # -- arithmetic on coefficient values ------------------------------------
 
     def zero(self):

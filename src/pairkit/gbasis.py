@@ -43,13 +43,12 @@ class Ideal:
 
 
 class GroebnerBasis:
-    __slots__ = ("ring", "order", "polys", "reduced")
+    __slots__ = ("ring", "order", "polys")
 
-    def __init__(self, ring, order, polys, reduced=True):
+    def __init__(self, ring, order, polys):
         self.ring = ring
         self.order = order
         self.polys = list(polys)
-        self.reduced = reduced
 
     def __iter__(self):
         return iter(self.polys)
@@ -115,15 +114,6 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if not basis.polys:
         return f
     return reduce_full(f, basis.polys, basis.order)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
-    field = f.ring.field
-    (fe, fc) = f.leading(order)
-    (ge, gc) = g.leading(order)
-    lcm = _mono_lcm(fe, ge)
-    return (f.mul_monomial(_mono_div(lcm, fe), field.inv(fc))
-            - g.mul_monomial(_mono_div(lcm, ge), field.inv(gc)))
 
 
 def _coprime(a, b):

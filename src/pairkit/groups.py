@@ -82,14 +82,6 @@ class Endomorphism:
     def is_identity(self) -> bool:
         return self.phi == self.law.coords_ring.gens()
 
-    def apply_to_tuple(self, u):
-        """alpha(u) for a rational s-tuple u."""
-        u = list(u)
-        if len(u) != self.law.s:
-            raise ValidationError(f"tuple arity must be {self.law.s}")
-        assignment = dict(zip(self.law.coords, u))
-        return [p.subs_rational(assignment) for p in self.phi]
-
     def __eq__(self, other):
         return isinstance(other, Endomorphism) and self.law.coords == other.law.coords \
             and self.phi == other.phi

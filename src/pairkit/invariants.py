@@ -18,9 +18,8 @@ from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
 from .linalg import ExactMatrix
 from .orders import BlockOrder
-from .pairs import AlphaPair, kernel_acts_trivially
-from .poly import (Polynomial, PolyRing, RationalFunction, fresh_names,
-                   numbered_fresh)
+from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially
+from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
 
@@ -114,18 +113,7 @@ def verify_generators(action: CoAction, basis: InvariantBasis, probes) -> Report
 def relations_presentation(basis: InvariantBasis) -> Ideal:
     """Kernel of W_i -> f_i: all relations among the generators, by
     elimination with an auxiliary denominator-inverting variable."""
-    ring = basis.action.ring
-    n = ring.nvars
-    w_names = numbered_fresh("W", n, ring.names)
-    u_name = fresh_names("u", 1, set(ring.names) | set(w_names))[0]
-    big = ring.extend([u_name] + w_names)
-    gens = []
-    den_product = big.one()
-    for w, fi in zip(w_names, basis.f):
-        gens.append(big.var(w) * fi.den.cast(big) - fi.num.cast(big))
-        den_product = den_product * fi.den.cast(big)
-    gens.append(big.var(u_name) * den_product - big.one())
-    return eliminate(Ideal(big, gens), w_names)
+    return eliminate(*graph_ideal(basis.f, "W"))
 
 
 def cross_section_ideal(pair: AlphaPair) -> Ideal:
@@ -212,8 +200,9 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     # induced multiplication: rewrite alpha(m(A, B)) over the alpha-images of
     # both factors, then rename the primed variables to the standard a/b ones
     a_names, b_names = mult_var_names(law.s)
-    ap_names = numbered_fresh("ap", law.s, a_names + b_names)
-    bp_names = numbered_fresh("bp", law.s, a_names + b_names + ap_names)
+    ap_names = fresh_names("ap", law.s, a_names + b_names, numbered=True)
+    bp_names = fresh_names("bp", law.s, a_names + b_names + ap_names,
+                           numbered=True)
     big2 = PolyRing(tuple(a_names + b_names) + tuple(ap_names + bp_names), field)
     alpha_a = [p.cast(big2, rename=dict(zip(law.coords, a_names))) for p in alpha.phi]
     alpha_b = [p.cast(big2, rename=dict(zip(law.coords, b_names))) for p in alpha.phi]

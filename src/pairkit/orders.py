@@ -23,12 +23,6 @@ class MonomialOrder:
     def key(self, exps):
         raise NotImplementedError
 
-    def max_monomial(self, monomials):
-        return max(monomials, key=self.key)
-
-    def sorted_desc(self, monomials):
-        return sorted(monomials, key=self.key, reverse=True)
-
     def __eq__(self, other):
         return type(self) is type(other) and self.describe() == other.describe()
 

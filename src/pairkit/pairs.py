@@ -14,8 +14,7 @@ from .gbasis import (GroebnerBasis, Ideal, buchberger, eliminate, groebner,
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal, mult_var_names
 from .linalg import formal_jacobian_rank, jacobian_rank
 from .orders import GREVLEX, BlockOrder
-from .poly import (Polynomial, PolyRing, RationalFunction, fresh_names,
-                   numbered_fresh)
+from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
 
@@ -109,32 +108,41 @@ def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
     return True, None
 
 
-def transcendence_degree(functions, relations=None, crosscheck=True) -> int:
-    """trdeg of k[functions] by elimination, valid in any characteristic.
+def graph_ideal(functions, tag: str, relations=None):
+    """Graph of the map to the functions f_i, with every denominator inverted.
 
-    Fresh tags T_i are glued by T_i*den_i - num_i with all denominators
-    inverted; the answer is the dimension of the contraction to k[T].  In
-    characteristic 0 (and without ambient relations) the Jacobian rank is
-    recomputed as a cross-check and any disagreement raises.
+    Returns (ideal, tags): the ideal <tag_i*den_i - num_i, u*prod den_i - 1>
+    plus the given relations, in the functions' ring extended by a fresh u
+    and the fresh numbered tags.  Its contraction to k[tags] is the ideal of
+    all relations among the f_i.
     """
-    functions = list(functions)
-    if not functions:
-        raise ValidationError("transcendence degree of an empty list")
     ring = functions[0].ring
-    t_names = numbered_fresh("T", len(functions), ring.names)
-    u_name = fresh_names("u", 1, set(ring.names) | set(t_names))[0]
-    big = ring.extend([u_name] + t_names)
+    tags = fresh_names(tag, len(functions), ring.names, numbered=True)
+    u_name = fresh_names("u", 1, set(ring.names) | set(tags))[0]
+    big = ring.extend([u_name] + tags)
     gens = []
     den_product = big.one()
-    for name, f in zip(t_names, functions):
+    for name, f in zip(tags, functions):
         gens.append(big.var(name) * f.den.cast(big) - f.num.cast(big))
         den_product = den_product * f.den.cast(big)
     gens.append(big.var(u_name) * den_product - big.one())
     for rel in relations or []:
         gens.append(rel.cast(big))
-    contracted = eliminate(Ideal(big, gens), t_names)
-    degree = ideal_dimension(contracted)
-    if crosscheck and not relations and ring.field.p is None:
+    return Ideal(big, gens), tags
+
+
+def transcendence_degree(functions, relations=None, crosscheck=True) -> int:
+    """trdeg of k[functions] by elimination, valid in any characteristic.
+
+    The answer is the dimension of the graph ideal's contraction to the tags
+    T_i.  In characteristic 0 (and without ambient relations) the Jacobian
+    rank is recomputed as a cross-check and any disagreement raises.
+    """
+    functions = list(functions)
+    if not functions:
+        raise ValidationError("transcendence degree of an empty list")
+    degree = ideal_dimension(eliminate(*graph_ideal(functions, "T", relations)))
+    if crosscheck and not relations and functions[0].ring.field.p is None:
         jac = jacobian_rank(functions)
         if jac != degree:
             raise InternalCheckError(
@@ -280,9 +288,6 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair):
         H_new = pair.H.cast(cover_ring)
         sat = saturate(Ideal(cover_ring, relations), H_new)
         saturated = True
-        canonical = AlphaPair(law.identity_endomorphism(),
-                              [cover_ring.var(w) for w in w_names],
-                              [cover_ring.one() for _ in w_names])
         self_check = check_alpha_pair(cover_action, canonical, relations=sat.gens)
         if not self_check.passed:
             raise InternalCheckError("canonical cover pair failed verification: "

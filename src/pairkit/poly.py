@@ -16,22 +16,16 @@ from .fields import FieldSpec
 from .orders import GREVLEX
 
 
-def fresh_names(base: str, count: int, avoid) -> list:
-    """Deterministic fresh variable names: `base` if count==1 else base1..baseN,
-    doubling the last letter until there is no collision with `avoid`."""
+def fresh_names(base: str, count: int, avoid, numbered=False) -> list:
+    """Deterministic fresh variable names: `base` if count==1 and not
+    `numbered`, else base1..baseN, doubling the last letter until there is
+    no collision with `avoid`."""
     avoid = set(avoid)
     while True:
-        names = [base] if count == 1 else [f"{base}{i}" for i in range(1, count + 1)]
-        if not any(n in avoid for n in names):
-            return names
-        base = base + base[-1]
-
-
-def numbered_fresh(base: str, count: int, avoid) -> list:
-    """Like fresh_names but always numbered (base1..baseN, even for N=1)."""
-    avoid = set(avoid)
-    while True:
-        names = [f"{base}{i}" for i in range(1, count + 1)]
+        if count == 1 and not numbered:
+            names = [base]
+        else:
+            names = [f"{base}{i}" for i in range(1, count + 1)]
         if not any(n in avoid for n in names):
             return names
         base = base + base[-1]
@@ -225,23 +219,6 @@ class Polynomial:
         if lead is None:
             return self
         return self.scale(self.ring.field.inv(lead[1]))
-
-    def primitive(self) -> "Polynomial":
-        """Divide out rational content (over Q) so coefficients are coprime
-        integers; sign follows the grevlex leading coefficient.  Identity on F_p."""
-        if self.ring.field.p is not None or not self.terms:
-            return self
-        from math import gcd
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        factor = Fraction(den_lcm, num_gcd)
-        lead = self.leading(GREVLEX)
-        if lead[1] * factor < 0:
-            factor = -factor
-        return self.scale(factor)
 
     def derivative(self, name: str) -> "Polynomial":
         i = self.ring.index(name)

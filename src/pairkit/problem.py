@@ -339,12 +339,7 @@ class ProblemFile:
             return False
         if self.endo is not None and self.endo.phi != other.endo.phi:
             return False
-        if self.is_gm != other.is_gm:
-            return False
-        if self.is_gm:
-            if self.action.v != other.action.v:
-                return False
-        elif self.action.v != other.action.v:
+        if self.is_gm != other.is_gm or self.action.v != other.action.v:
             return False
         return self.pairs == other.pairs
 
@@ -566,10 +561,6 @@ def _field_text(field: FieldSpec) -> str:
     return "field Q" if field.p is None else f"field Fp {field.p}"
 
 
-def _coeff_text(field: FieldSpec, value) -> str:
-    return str(value)
-
-
 def render(obj) -> str:
     """Canonical text for a Polynomial, RationalFunction, or ProblemFile."""
     if isinstance(obj, Polynomial):
@@ -611,5 +602,5 @@ def render_problem(problem: ProblemFile) -> str:
         for p in h:
             lines.append(f"pair {idx} h {p.text()}")
     for point in problem.points:
-        lines.append("point " + " ".join(_coeff_text(problem.field, v) for v in point))
+        lines.append("point " + " ".join(str(v) for v in point))
     return "\n".join(lines) + "\n"

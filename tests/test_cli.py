@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pairkit import cli
 from pairkit.cli import run
 from pairkit.problem import parse_problem
 
@@ -210,3 +211,21 @@ class TestJsonAndDeterminism:
         first = subprocess.run(cmd, capture_output=True, env=env, check=True)
         second = subprocess.run(cmd, capture_output=True, env=env, check=True)
         assert first.stdout == second.stdout and first.stdout
+
+
+class TestVerifyOnce:
+    """Verbs that build on a pair check it exactly once."""
+
+    @pytest.mark.parametrize("verb", ["invariants", "fppf", "cross-section"])
+    def test_pair_checked_once(self, verb, monkeypatch, capsys):
+        real = cli.check_alpha_pair
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_alpha_pair", counting)
+        code, _ = invoke(capsys, verb, path("e1.prob"), "--pair", "1")
+        assert code == 0
+        assert len(calls) == 1

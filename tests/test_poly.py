@@ -5,7 +5,7 @@ import pytest
 
 from pairkit.errors import AlgebraError, ValidationError
 from pairkit.fields import QQ, FieldSpec
-from pairkit.poly import PolyRing, RationalFunction, substitute
+from pairkit.poly import PolyRing, RationalFunction, fresh_names, substitute
 
 from oracles import random_polynomial
 
@@ -160,3 +160,20 @@ class TestRationalFunction:
         z1, _ = R.gens()
         a = RationalFunction(z1, R.one())
         assert a ** -2 == RationalFunction(R.one(), z1 * z1)
+
+
+class TestFreshNames:
+    def test_count_one_is_unnumbered(self):
+        assert fresh_names("u", 1, ["z1"]) == ["u"]
+
+    def test_count_one_numbered(self):
+        assert fresh_names("W", 1, ["z1"], numbered=True) == ["W1"]
+
+    def test_count_above_one_is_numbered(self):
+        assert fresh_names("w", 3, []) == ["w1", "w2", "w3"]
+        assert fresh_names("T", 2, [], numbered=True) == ["T1", "T2"]
+
+    def test_collision_doubles_last_letter(self):
+        assert fresh_names("T", 2, ["T1"], numbered=True) == ["TT1", "TT2"]
+        assert fresh_names("ap", 1, ["ap1"], numbered=True) == ["app1"]
+        assert fresh_names("u", 1, ["u", "uu"]) == ["uuu"]
