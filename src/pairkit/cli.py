@@ -29,6 +29,8 @@ def _load(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: not UTF-8 ({exc.reason})")
     return parse_problem(text)
 
 

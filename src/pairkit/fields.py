@@ -38,10 +38,10 @@ class FieldSpec:
         if kind not in ("rationals", "prime-field"):
             raise ValidationError(f"unknown field kind {kind!r}")
         if kind == "prime-field":
+            if p is not None and p >= _PRIME_LIMIT:
+                raise ValidationError(f"modulus too large: {p}")
             if p is None or not is_prime(p):
                 raise ValidationError(f"modulus not prime: {p!r}")
-            if p >= _PRIME_LIMIT:
-                raise ValidationError(f"modulus too large: {p}")
         else:
             p = None
         self.kind = kind

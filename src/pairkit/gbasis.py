@@ -3,16 +3,19 @@ and combinatorial Krull dimension.
 
 The engine is Buchberger with the normal selection strategy (pop the pair
 with the smallest lcm, ties by pair indices) and Gebauer-Moeller pair
-pruning.  Over Q the main loop runs on primitive integer coefficients with
-fraction-free pseudo-reduction (exact, no modular or tracing shortcuts);
-the final interreduction restores monic coefficients.  Output bases are
-reduced, monic, and sorted ascending by leading monomial, so identical
-inputs reproduce bit-identical bases.
+pruning.  Live pairs sit in a dict (i, j) -> lcm; a heap of (order key of
+the lcm, i, j) orders them, each key computed once when its pair is made.
+Pairs the chain criterion removes leave the dict only and are skipped when
+the heap pops them.  Over Q the main loop runs on primitive integer
+coefficients with fraction-free pseudo-reduction (exact, no modular or
+tracing shortcuts); the final interreduction restores monic coefficients.
+Output bases are reduced, monic, and sorted ascending by leading monomial,
+so identical inputs reproduce bit-identical bases.
 """
 
 import heapq
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from .errors import AlgebraError
@@ -121,37 +124,29 @@ def _coprime(a, b):
 
 
 def _update_pairs(pairs, leads, t):
-    """Gebauer-Moeller pair update for the new basis element with index t:
-    prune new pairs by the lcm-divisibility and coprime criteria, prune old
-    pairs by the chain criterion.  Deterministic (index-order traversal)."""
+    """Gebauer-Moeller pair update for the new basis element with index t.
+
+    `pairs` is the live-pair dict (i, j) -> lcm of leads i and j.  Old pairs
+    that the chain criterion removes are deleted from it, tested with their
+    stored lcm; new pairs (i, t) are pruned by the lcm-divisibility and
+    coprime criteria.  Returns the kept new pairs as (i, t, lcm) triples in
+    index order; the caller adds them to the dict and the heap.
+    Deterministic (index-order traversal)."""
     lt_t = leads[t]
     lcm_with = [_mono_lcm(leads[i], lt_t) for i in range(t)]
     kept_new = []
     for i in range(t):
-        if _coprime(leads[i], lt_t):
+        if _coprime(leads[i], lt_t) or not any(
+                _mono_divides(lcm_with[j], lcm_with[i])
+                for j in chain(range(i + 1, t), kept_new)):
             kept_new.append(i)
-            continue
-        dominated = False
-        for j in range(i + 1, t):
-            if _mono_divides(lcm_with[j], lcm_with[i]):
-                dominated = True
-                break
-        if not dominated:
-            for j in kept_new:
-                if _mono_divides(lcm_with[j], lcm_with[i]):
-                    dominated = True
-                    break
-        if not dominated:
-            kept_new.append(i)
-    new_pairs = [(i, t) for i in kept_new if not _coprime(leads[i], lt_t)]
 
-    surviving = []
-    for (i, j) in pairs:
-        lcm_ij = _mono_lcm(leads[i], leads[j])
-        if _mono_divides(lt_t, lcm_ij) and lcm_with[i] != lcm_ij and lcm_with[j] != lcm_ij:
-            continue
-        surviving.append((i, j))
-    return surviving + new_pairs
+    dead = [(i, j) for (i, j), lcm_ij in pairs.items()
+            if _mono_divides(lt_t, lcm_ij)
+            and lcm_with[i] != lcm_ij and lcm_with[j] != lcm_ij]
+    for ij in dead:
+        del pairs[ij]
+    return [(i, t, lcm_with[i]) for i in kept_new if not _coprime(leads[i], lt_t)]
 
 
 class _Top:
@@ -237,7 +232,8 @@ def _arith_for(field):
 
 
 def _reduce_dict(f, divisors, order, arith, full):
-    """Pseudo-reduction of a coefficient dict against (lead, terms) divisors.
+    """Pseudo-reduction of a coefficient dict against (lead exponents, lead
+    coefficient, terms) divisors.
 
     Returns the remainder up to a positive scalar; with full=False only the
     leading term is guaranteed irreducible (enough for basis building)."""
@@ -299,9 +295,10 @@ def _reduce_dict(f, divisors, order, arith, full):
     return remainder
 
 
-def _spoly_dict(fd, f_lead, gd, g_lead, order, arith):
-    (fe, fc) = f_lead
-    (ge, gc) = g_lead
+def _spoly_dict(f, g, order, arith):
+    """S-polynomial of two (lead exponents, lead coefficient, dict) triples."""
+    (fe, fc, fd) = f
+    (ge, gc, gd) = g
     lcm = _mono_lcm(fe, ge)
     uf = _mono_div(lcm, fe)
     ug = _mono_div(lcm, ge)
@@ -334,36 +331,32 @@ def buchberger(gens, order=GREVLEX):
     ring = gens[0].ring
     arith = _arith_for(ring.field)
 
-    basis = []       # coefficient dicts
-    leads = []       # leading exponent tuples
-    lead_coeffs = []
-    pairs = []
+    basis = []       # (leading exponents, leading coefficient, coefficient dict)
+    leads = []       # leading exponents, indexed like basis
+    pairs = {}       # live pairs (i, j) -> lcm of their leads
+    queue = []       # heap of (order key of the lcm, i, j); dead pairs stay in it
 
     def push(d):
-        nonlocal pairs
         exps = max(d, key=order.key)
         d = arith.normalize(d, exps)
-        basis.append(d)
+        basis.append((exps, d[exps], d))
         leads.append(exps)
-        lead_coeffs.append(d[exps])
-        pairs = _update_pairs(pairs, leads, len(basis) - 1)
+        for i, t, lcm in _update_pairs(pairs, leads, len(leads) - 1):
+            pairs[i, t] = lcm
+            heapq.heappush(queue, (order.key(lcm), i, t))
 
     for g in gens:
         push(arith.from_field(g.terms))
 
-    while pairs:
-        best = min(pairs, key=lambda ij: (order.key(_mono_lcm(leads[ij[0]], leads[ij[1]])),
-                                          ij[0], ij[1]))
-        pairs.remove(best)
-        i, j = best
-        s = _spoly_dict(basis[i], (leads[i], lead_coeffs[i]),
-                        basis[j], (leads[j], lead_coeffs[j]), order, arith)
-        if not s:
-            continue
-        divisors = [(leads[k], lead_coeffs[k], basis[k]) for k in range(len(basis))]
-        r = _reduce_dict(s, divisors, order, arith, full=False)
-        if r:
-            push(r)
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue     # removed by the chain criterion
+        s = _spoly_dict(basis[i], basis[j], order, arith)
+        if s:
+            r = _reduce_dict(s, basis, order, arith, full=False)
+            if r:
+                push(r)
 
     # minimal basis: ascending leading terms, drop anything an earlier lead divides
     ordered = sorted(range(len(basis)), key=lambda i: order.key(leads[i]))
@@ -373,9 +366,9 @@ def buchberger(gens, order=GREVLEX):
             kept.append(i)
     reduced = []
     for i in kept:
-        others = [(leads[k], lead_coeffs[k], basis[k]) for k in kept if k != i]
-        d = _reduce_dict(basis[i], others, order, arith, full=True) if others \
-            else basis[i]
+        others = [basis[k] for k in kept if k != i]
+        d = _reduce_dict(basis[i][2], others, order, arith, full=True) if others \
+            else basis[i][2]
         poly = Polynomial(ring, arith.to_field(d, ring.field)).monic(order)
         reduced.append(poly)
     reduced.sort(key=lambda p: order.key(p.leading(order)[0]))
@@ -418,7 +411,6 @@ def ideal_dimension(ideal: Ideal) -> int:
             inside = set(subset)
             if all(any(e[i] for i in range(n) if i not in inside) for e in leads):
                 return size
-    return 0
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:

@@ -380,6 +380,7 @@ def parse_problem(text: str) -> ProblemFile:
             head_words = head.split()
         else:
             head_words, expr_text, expr_col = body.split(), None, 0
+        require(head_words, "line starts with '=' instead of a directive", lineno)
         keyword = head_words[0]
         if keyword not in _SECTION_RANK:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
@@ -390,7 +391,7 @@ def parse_problem(text: str) -> ProblemFile:
         last_rank = rank
 
         if keyword == "version":
-            require(len(head_words) == 2 and head_words[1].isdigit(),
+            require(len(head_words) == 2 and head_words[1].isdecimal(),
                     "usage: version <n>", lineno)
             require(int(head_words[1]) == GRAMMAR_VERSION,
                     f"unsupported version {head_words[1]} (supported: {GRAMMAR_VERSION})",
@@ -400,7 +401,7 @@ def parse_problem(text: str) -> ProblemFile:
             if len(head_words) == 2 and head_words[1] == "Q":
                 field = FieldSpec.rationals()
             elif len(head_words) == 3 and head_words[1] == "Fp":
-                require(head_words[2].isdigit(), "usage: field Fp <p>", lineno)
+                require(head_words[2].isdecimal(), "usage: field Fp <p>", lineno)
                 try:
                     field = FieldSpec.prime(int(head_words[2]))
                 except ValidationError as exc:
@@ -426,7 +427,7 @@ def parse_problem(text: str) -> ProblemFile:
             require(ring is not None, "group before ring", lineno)
             require(group_coords is None, "duplicate group directive", lineno)
             require(len(head_words) >= 4 and head_words[1] == "dim"
-                    and head_words[2].isdigit() and head_words[3] == "coords",
+                    and head_words[2].isdecimal() and head_words[3] == "coords",
                     "usage: group dim <s> coords <t1> ... <ts>", lineno)
             s = int(head_words[2])
             coords = head_words[4:]
@@ -478,7 +479,7 @@ def parse_problem(text: str) -> ProblemFile:
         elif keyword == "pair":
             require(ring is not None, "pair before ring", lineno)
             require(expr_text is None, "pair lines do not use '='", lineno)
-            require(len(head_words) >= 4 and head_words[1].isdigit()
+            require(len(head_words) >= 4 and head_words[1].isdecimal()
                     and head_words[2] in ("g", "h"),
                     "usage: pair <idx> g <poly> | pair <idx> h <poly>", lineno)
             idx = int(head_words[1])

@@ -1,14 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
+from pairkit import gbasis
 from pairkit.errors import AlgebraError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.gbasis import (Ideal, buchberger, eliminate, groebner,
                               ideal_dimension, ideals_equal, normal_form,
                               poly_divmod, saturate)
+from pairkit.invariants import NagataSpec, nagata_build
 from pairkit.orders import BlockOrder
+from pairkit.pairs import graph_ideal, pair_from_problem
 from pairkit.poly import PolyRing
+from pairkit.problem import parse_problem
 
 from oracles import in_ideal_bruteforce, random_polynomial
 
@@ -175,3 +180,85 @@ class TestDivisionAndSaturation:
         z1, z2 = R.gens()
         S = saturate(Ideal(R, [z1 * z2]), z1)
         assert ideals_equal(S, Ideal(R, [z2]))
+
+
+# Nagata (7, 3): the standard basis, then points of the moment curve
+NAGATA_7_3_POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                     [1, 1, 1], [1, 2, 4], [1, 3, 9], [1, 4, 16]]
+
+F2_SHEAR_4 = """version 1
+field Fp 2
+ring z0 z1 z2 z3 z4
+group dim 4 coords t1 t2 t3 t4
+mult t1 = a1 + b1
+mult t2 = a2 + b2
+mult t3 = a3 + b3
+mult t4 = a4 + b4
+inv t1 = -t1
+inv t2 = -t2
+inv t3 = -t3
+inv t4 = -t4
+act z0 = z0
+act z1 = z1 + t1*z0
+act z2 = z2 + t2*z0
+act z3 = z3 + t3*z0
+act z4 = z4 + t4*z0
+pair 1 g z1
+pair 1 g z2
+pair 1 g z3
+pair 1 g z4
+pair 1 h z0
+pair 1 h z0
+pair 1 h z0
+pair 1 h z0
+"""
+
+
+def trdeg_graph_ideal(problem):
+    return graph_ideal(pair_from_problem(problem, 1).fractions(), "T")
+
+
+class TestPairQueue:
+    """The reduced basis is unique, so only the S-pair sequence shows a
+    changed selection order or a wrongly pruned pair.  Each case pins the
+    digest of the (lead_i, lead_j) sequence, the number of S-pairs formed,
+    the number of partial reductions and how many of them left a nonzero
+    remainder; the values were recorded with the list-scan pair selection
+    that the heap queue replaced."""
+
+    @staticmethod
+    def record(monkeypatch, compute):
+        sequence, reductions = [], []
+        spoly, reduce = gbasis._spoly_dict, gbasis._reduce_dict
+
+        def recording_spoly(f, g, order, arith):
+            sequence.append((f[0], g[0]))
+            return spoly(f, g, order, arith)
+
+        def counting_reduce(f, divisors, order, arith, full):
+            remainder = reduce(f, divisors, order, arith, full)
+            if not full:
+                reductions.append(bool(remainder))
+            return remainder
+
+        monkeypatch.setattr(gbasis, "_spoly_dict", recording_spoly)
+        monkeypatch.setattr(gbasis, "_reduce_dict", counting_reduce)
+        compute()
+        digest = hashlib.sha256(repr(sequence).encode()).hexdigest()[:16]
+        return digest, len(sequence), len(reductions), sum(reductions)
+
+    def test_nagata_7_3_trdeg_block(self, monkeypatch):
+        ideal, tags = trdeg_graph_ideal(
+            nagata_build(NagataSpec(7, 3, NAGATA_7_3_POINTS)))
+        got = self.record(monkeypatch, lambda: eliminate(ideal, tags))
+        assert got == ("2f59c96e54bfe65d", 64, 64, 15)
+
+    def test_f2_shear_grevlex(self, monkeypatch):
+        ideal, _ = trdeg_graph_ideal(parse_problem(F2_SHEAR_4))
+        got = self.record(monkeypatch, lambda: groebner(ideal))
+        assert got == ("acb16d1da92b5b2a", 612, 556, 131)
+
+    def test_f2_shear_block(self, monkeypatch):
+        ideal, tags = trdeg_graph_ideal(parse_problem(F2_SHEAR_4))
+        got = self.record(monkeypatch, lambda: eliminate(ideal, tags))
+        assert got == ("106bec3040e5e6e1", 468, 468, 75)

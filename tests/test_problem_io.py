@@ -65,6 +65,23 @@ class TestParse:
         with pytest.raises(ParseError, match="too large"):
             parse_problem("field Fp 2147483659\nring z\n")
 
+    def test_modulus_size_checked_before_primality(self):
+        # trial division of a 19-digit modulus would take minutes
+        with pytest.raises(ParseError, match="too large"):
+            parse_problem("field Fp 1000000000000000003\nring z\n")
+
+    @pytest.mark.parametrize("text", ["version \u00b2\n", "field Fp \u00b2\n",
+                                      "field Q\nring z\ngroup dim \u00b2 coords t\n"])
+    def test_non_ascii_digits_rejected(self, text):
+        # superscript two is a digit to str.isdigit but not to int()
+        with pytest.raises(ParseError):
+            parse_problem(text)
+
+    def test_line_without_directive(self):
+        with pytest.raises(ParseError, match="directive") as err:
+            parse_problem("field Q\n= z\n")
+        assert err.value.line == 2
+
     def test_laurent_negative_exponents_roundtrip(self):
         text = ("version 1\nfield Q\nring x y\n"
                 "gmact x = w^-1*x\ngmact y = w^2*y\n")
