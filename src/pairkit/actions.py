@@ -8,7 +8,7 @@ polynomial per space variable, as a weight -> polynomial map.
 from .errors import AlgebraError, ValidationError
 from .gbasis import Ideal
 from .groups import GroupLaw, mult_var_names
-from .poly import Polynomial, PolyRing, RationalFunction, fresh_names, substitute
+from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .report import Report
 
 
@@ -40,15 +40,11 @@ class CoAction:
             f = RationalFunction.from_poly(f)
         if f.ring != self.ring:
             raise AlgebraError("function lives in a different ring than the action")
-        images = {name: RationalFunction.from_poly(self.v[i])
-                  for i, name in enumerate(self.ring.names)}
-        num = substitute(f.num, images) if f.num.variables_used() else \
-            RationalFunction.from_poly(f.num.cast(self.big_ring))
-        den = substitute(f.den, images) if f.den.variables_used() else \
-            RationalFunction.from_poly(f.den.cast(self.big_ring))
+        images = dict(zip(self.ring.names, self.v))
+        den = f.den.subs_poly(images)
         if den.is_zero():
             raise AlgebraError(f"denominator {f.den.text()} maps to zero under the action")
-        return num / den
+        return RationalFunction(f.num.subs_poly(images), den)
 
     def is_invariant(self, f) -> bool:
         if isinstance(f, Polynomial):
@@ -136,6 +132,10 @@ class LaurentPoly:
     def zero(ring: PolyRing) -> "LaurentPoly":
         return LaurentPoly(ring, {})
 
+    @staticmethod
+    def constant(ring: PolyRing, value) -> "LaurentPoly":
+        return LaurentPoly.from_poly(ring.const(value))
+
     def is_zero(self) -> bool:
         return not self.comps
 
@@ -154,6 +154,9 @@ class LaurentPoly:
             out[d] = out[d] + p if d in out else p
         return LaurentPoly(self.ring, out)
 
+    def __neg__(self):
+        return LaurentPoly(self.ring, {d: -p for d, p in self.comps.items()})
+
     def __mul__(self, other):
         out = {}
         for d1, p1 in self.comps.items():
@@ -164,21 +167,20 @@ class LaurentPoly:
         return LaurentPoly(self.ring, out)
 
     def __pow__(self, n: int):
+        base = self
         if n < 0:
             # only units c*w^d are invertible
-            if len(self.comps) == 1:
-                ((d, p),) = self.comps.items()
-                if p.is_constant():
-                    field = self.ring.field
-                    c = field.inv(p.constant_value())
-                    value = field.one()
-                    for _ in range(-n):
-                        value = field.mul(value, c)
-                    return LaurentPoly(self.ring, {d * n: self.ring.const(value)})
-            raise AlgebraError("negative power of a non-unit Laurent polynomial")
+            if len(self.comps) != 1 or not self.at_one().is_constant():
+                raise AlgebraError("negative power of a non-unit Laurent polynomial")
+            ((d, p),) = self.comps.items()
+            c = self.ring.field.inv(p.constant_value())
+            base, n = LaurentPoly(self.ring, {-d: self.ring.const(c)}), -n
         result = LaurentPoly.from_poly(self.ring.one())
-        for _ in range(n):
-            result = result * self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
         return result
 
     def __eq__(self, other):
@@ -231,23 +233,7 @@ class GmCoAction:
         """Substitute z_i -> v_i inside Laurent arithmetic."""
         if f.ring != self.ring:
             raise AlgebraError("polynomial lives in a different ring than the action")
-        cache = {}
-
-        def power(i, e):
-            c = cache.setdefault(i, {0: LaurentPoly.from_poly(self.ring.one())})
-            while e not in c:
-                k = max(c)
-                c[k + 1] = c[k] * self.v[i]
-            return c[e]
-
-        total = LaurentPoly.zero(self.ring)
-        for exps, coeff in f.terms.items():
-            term = LaurentPoly.from_poly(self.ring.const(coeff))
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+        return f._substitute(dict(zip(self.ring.names, self.v)), LaurentPoly.constant)
 
     def __repr__(self):
         return f"GmCoAction on {self.ring!r}"

@@ -7,6 +7,7 @@ error.  Reports are line-oriented `key: value` text; --json is additive.
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .actions import is_semi_invariant, validate_action, validate_gm_action
@@ -17,6 +18,7 @@ from .invariants import (NagataSpec, cross_section_report, dixmier_generators,
                          factor_through_kernel, induced_problem, mukai_predicate,
                          nagata_build, nagata_oracle_invariants,
                          relations_presentation, verify_generators)
+from .linalg import formal_jacobian_rank
 from .pairs import (check_alpha_pair, is_affine_stable, pair_from_problem,
                     pedestal_ideal_from_pairs, build_fppf_cover,
                     transcendence_degree)
@@ -24,14 +26,17 @@ from .problem import parse_problem, parse_polynomial, parse_rational, render_pro
 from .report import Report
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: not UTF-8 ({exc.reason})")
-    return parse_problem(text)
+
+
+def _load(path: str):
+    return parse_problem(_read(path))
 
 
 def _emit(problem, path: str, report: Report):
@@ -121,7 +126,6 @@ def cmd_trdeg(args) -> int:
     report.info("group-dim", problem.group.s)
     report.info("equals-group-dim", "true" if degree == problem.group.s else "false")
     if problem.field.p is not None:
-        from .linalg import formal_jacobian_rank
         report.info("separable", "true" if
                     formal_jacobian_rank(pair.fractions()) == degree else "false")
         report.info("note", "Jacobian certificate refused over prime fields; "
@@ -271,13 +275,8 @@ def cmd_semi_invariant(args) -> int:
 
 
 def _read_points(path: str, r: int):
-    from fractions import Fraction
     rows = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue

@@ -114,8 +114,6 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo a reduced basis; zero iff f is in the ideal."""
     if f.ring != basis.ring:
         raise AlgebraError("polynomial and basis in different rings")
-    if not basis.polys:
-        return f
     return reduce_full(f, basis.polys, basis.order)
 
 

@@ -162,7 +162,7 @@ def _rewrite_through(polys, generators_of, front_names, ring: PolyRing,
     basis = buchberger(generators_of, order)
     out = []
     for p in polys:
-        reduced = reduce_full(p, basis, order) if basis else p
+        reduced = reduce_full(p, basis, order)
         left = reduced.variables_used() & set(forbidden)
         if left:
             raise ValidationError(

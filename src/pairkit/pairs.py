@@ -9,7 +9,7 @@ the g_i/h_i must be algebraically independent.
 
 from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
-from .gbasis import (GroebnerBasis, Ideal, buchberger, eliminate, groebner,
+from .gbasis import (Ideal, buchberger, eliminate, groebner,
                      ideal_dimension, normal_form, reduce_full, saturate)
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal, mult_var_names
 from .linalg import formal_jacobian_rank, jacobian_rank
@@ -71,13 +71,6 @@ def pair_from_problem(problem: ProblemFile, idx: int) -> AlphaPair:
     return AlphaPair(alpha, g, h)
 
 
-def _relations_basis(action: CoAction, relations) -> GroebnerBasis | None:
-    if not relations:
-        return None
-    big = action.big_ring
-    return groebner(Ideal(big, [r.cast(big) for r in relations]), GREVLEX)
-
-
 def _require_same_law(action: CoAction, law: GroupLaw):
     if (action.law.coords != law.coords or action.law.mult != law.mult
             or action.law.inv != law.inv):
@@ -92,8 +85,8 @@ def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
     """
     law = pair.law
     big = action.big_ring
-    rel_basis = relations if isinstance(relations, GroebnerBasis) else \
-        _relations_basis(action, relations)
+    rel_basis = groebner(Ideal(big, [r.cast(big) for r in relations]), GREVLEX) \
+        if relations else None
     alpha_tuple = [RationalFunction.from_poly(p.cast(big)) for p in pair.alpha.phi]
     gh_tuple = [RationalFunction(g.cast(big), h.cast(big))
                 for g, h in zip(pair.g, pair.h)]
@@ -131,7 +124,7 @@ def graph_ideal(functions, tag: str, relations=None):
     return Ideal(big, gens), tags
 
 
-def transcendence_degree(functions, relations=None, crosscheck=True) -> int:
+def transcendence_degree(functions, relations=None) -> int:
     """trdeg of k[functions] by elimination, valid in any characteristic.
 
     The answer is the dimension of the graph ideal's contraction to the tags
@@ -142,7 +135,7 @@ def transcendence_degree(functions, relations=None, crosscheck=True) -> int:
     if not functions:
         raise ValidationError("transcendence degree of an empty list")
     degree = ideal_dimension(eliminate(*graph_ideal(functions, "T", relations)))
-    if crosscheck and not relations and functions[0].ring.field.p is None:
+    if not relations and functions[0].ring.field.p is None:
         jac = jacobian_rank(functions)
         if jac != degree:
             raise InternalCheckError(
@@ -160,13 +153,8 @@ def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
     front = [big.index(n) for n in alpha.law.coords]
     order = BlockOrder(front, big.nvars)
     basis = buchberger(kernel, order)
-    for i, name in enumerate(action.ring.names):
-        diff = action.v[i] - big.var(name)
-        if basis and not reduce_full(diff, basis, order).is_zero():
-            return False
-        if not basis and not diff.is_zero():
-            return False
-    return True
+    return all(reduce_full(v - big.var(name), basis, order).is_zero()
+               for v, name in zip(action.v, action.ring.names))
 
 
 def check_alpha_pair(action: CoAction, pair: AlphaPair, relations=None) -> Report:

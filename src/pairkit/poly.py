@@ -262,93 +262,46 @@ class Polynomial:
     def eval_partial(self, values: dict, target: PolyRing) -> "Polynomial":
         """Evaluate some variables at field elements; the rest must exist in
         `target` (same field)."""
-        field = self.ring.field
-        out = target.zero()
-        for exps, c in self.terms.items():
-            coeff = c
-            t_exps = [0] * target.nvars
-            ok = True
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                name = self.ring.names[i]
-                if name in values:
-                    v = values[name]
-                    for _ in range(e):
-                        coeff = field.mul(coeff, v)
-                    if not coeff:
-                        ok = False
-                        break
-                else:
-                    t_exps[target.index(name)] += e
-            if ok and coeff:
-                out = out + Polynomial(target, {tuple(t_exps): coeff})
-        return out
+        used = self.variables_used()
+        mapping = {n: target.const(values[n]) if n in values else target.var(n)
+                   for n in self.ring.names if n in used}
+        return self.subs_poly(mapping) if mapping else self.cast(target)
 
     def subs_poly(self, mapping: dict) -> "Polynomial":
         """Substitute polynomials for variables; every used variable must be
         mapped; all images share one ring."""
+        return self._substitute(mapping, PolyRing.const)
+
+    def subs_rational(self, mapping: dict) -> "RationalFunction":
+        """Substitute rational functions for variables (all used variables)."""
+        return self._substitute(mapping, RationalFunction.constant)
+
+    def _substitute(self, mapping: dict, const):
+        """sum const(target, c) * prod mapping[name]^e over the terms, where
+        the images (polynomials, rational or Laurent functions) share the
+        ring `target` over this field and cover every used variable.  The
+        powers of each image are built once, by repeated multiplication."""
         images = list(mapping.values())
-        if not images:
-            if self.variables_used():
-                raise ValidationError("substitution covers no variables")
-            target = self.ring
-        else:
-            target = images[0].ring
-        for g in images:
-            if g.ring != target:
-                raise AlgebraError("substitution images live in different rings")
+        target = images[0].ring if images else self.ring
+        if any(g.ring != target for g in images):
+            raise AlgebraError("substitution images live in different rings")
         missing = self.variables_used() - set(mapping)
         if missing:
             raise ValidationError(f"unassigned variables in substitution: {sorted(missing)}")
         if target.field != self.ring.field:
             raise AlgebraError("substitution across different fields")
-        pow_cache = {name: {0: target.one()} for name in mapping}
-
-        def power(name, e):
-            cache = pow_cache[name]
-            while e not in cache:
-                k = max(cache)
-                cache[k + 1] = cache[k] * mapping[name]
-            return cache[e]
-
-        total = target.zero()
+        field = self.ring.field
+        one = const(target, field.one())
+        powers = {}
+        total = const(target, field.zero())
         for exps, c in self.terms.items():
-            term = target.const(c)
+            term = const(target, c)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(self.ring.names[i], e)
-            total = total + term
-        return total
-
-    def subs_rational(self, mapping: dict) -> "RationalFunction":
-        """Substitute rational functions for variables (all used variables)."""
-        images = list(mapping.values())
-        if images:
-            target = images[0].ring
-        else:
-            target = self.ring
-        for g in images:
-            if g.ring != target:
-                raise AlgebraError("substitution images live in different rings")
-        missing = self.variables_used() - set(mapping)
-        if missing:
-            raise ValidationError(f"unassigned variables in substitution: {sorted(missing)}")
-        pow_cache = {}
-
-        def power(name, e):
-            cache = pow_cache.setdefault(name, {0: RationalFunction.one(target)})
-            while e not in cache:
-                k = max(cache)
-                cache[k + 1] = cache[k] * mapping[name]
-            return cache[e]
-
-        total = RationalFunction.zero(target)
-        for exps, c in self.terms.items():
-            term = RationalFunction.constant(target, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(self.ring.names[i], e)
+                    cache = powers.setdefault(i, [one])
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * mapping[self.ring.names[i]])
+                    term = term * cache[e]
             total = total + term
         return total
 

@@ -8,6 +8,7 @@ and a/b rational literals, parentheses; multiplication is always explicit.
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .actions import CoAction, GmCoAction, LaurentPoly
 from .errors import AlgebraError, ParseError, ValidationError
@@ -16,6 +17,10 @@ from .groups import Endomorphism, GroupLaw, mult_var_names
 from .poly import Polynomial, PolyRing, RationalFunction
 
 GRAMMAR_VERSION = 1
+
+# a power whose expansion could have more terms than this is refused: the
+# binomial (z1 + z2)^1000 already takes seconds to expand over Q
+MAX_POWER_TERMS = 500
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*^/()]))")
@@ -80,8 +85,7 @@ class _ExprParser:
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.take()
                 rhs = self.term()
-                value = self.ctx.add(value, rhs) if tok[1] == "+" else \
-                    self.ctx.add(value, self.ctx.neg(rhs))
+                value = value + rhs if tok[1] == "+" else value + -rhs
             else:
                 return value
 
@@ -91,7 +95,7 @@ class _ExprParser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                value = self.ctx.mul(value, self.unary())
+                value = value * self.unary()
             elif tok and tok[0] == "op" and tok[1] == "/":
                 if not self.ctx.allows_division:
                     raise ParseError("division is only allowed between integer literals",
@@ -105,7 +109,7 @@ class _ExprParser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return self.ctx.neg(self.unary())
+            return -self.unary()
         return self.power()
 
     def power(self):
@@ -148,105 +152,39 @@ class _ExprParser:
         raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
 
 
-class _PolyContext:
-    allows_division = False
+def _term_count(value) -> int:
+    """Terms of a parsed value; of a rational function, the larger side's."""
+    if isinstance(value, RationalFunction):
+        return max(len(value.num.terms), len(value.den.terms))
+    if isinstance(value, LaurentPoly):
+        return sum(len(p.terms) for p in value.comps.values())
+    return len(value.terms)
 
-    def __init__(self, ring: PolyRing):
+
+class _Context:
+    """Value type of one expression parse.  `lift` turns ring polynomials
+    into values; `weight` names the torus variable of a Laurent parse (the
+    only variable allowed a negative exponent); `division` makes `/` true
+    division, for probe expressions."""
+
+    def __init__(self, ring: PolyRing, lift, weight=None, division=False):
         self.ring = ring
+        self.lift = lift
+        self.weight = weight
+        self.allows_division = division
 
     def const(self, frac, line, col):
         try:
-            return self.ring.const_fraction(frac)
+            return self.lift(self.ring.const_fraction(frac))
         except AlgebraError as exc:
             raise ParseError(str(exc), line, col)
 
     def var(self, name, line, col):
-        if name not in self.ring._index:
-            raise ParseError(f"undeclared variable {name!r}", line, col)
-        return self.ring.var(name)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n, line, col):
-        if n < 0:
-            raise ParseError("negative exponent is only allowed on the weight variable w",
-                             line, col)
-        return a ** n
-
-
-class _LaurentContext:
-    allows_division = False
-
-    def __init__(self, ring: PolyRing, weight_name: str = "w"):
-        if weight_name in ring.names:
-            raise ValidationError(
-                f"ring variable {weight_name!r} collides with the weight variable")
-        self.ring = ring
-        self.weight_name = weight_name
-
-    def const(self, frac, line, col):
-        try:
-            return LaurentPoly.from_poly(self.ring.const_fraction(frac))
-        except AlgebraError as exc:
-            raise ParseError(str(exc), line, col)
-
-    def var(self, name, line, col):
-        if name == self.weight_name:
+        if name == self.weight:
             return LaurentPoly(self.ring, {1: self.ring.one()})
         if name not in self.ring._index:
             raise ParseError(f"undeclared variable {name!r}", line, col)
-        return LaurentPoly.from_poly(self.ring.var(name))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return LaurentPoly(a.ring, {d: -p for d, p in a.comps.items()})
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n, line, col):
-        try:
-            return a ** n
-        except AlgebraError as exc:
-            raise ParseError(str(exc), line, col)
-
-
-class _RationalContext:
-    """Used for probe expressions: `/` is true division."""
-
-    allows_division = True
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-
-    def const(self, frac, line, col):
-        try:
-            return RationalFunction.constant(self.ring, self.ring.field.from_fraction(frac))
-        except AlgebraError as exc:
-            raise ParseError(str(exc), line, col)
-
-    def var(self, name, line, col):
-        if name not in self.ring._index:
-            raise ParseError(f"undeclared variable {name!r}", line, col)
-        return RationalFunction.from_poly(self.ring.var(name))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+        return self.lift(self.ring.var(name))
 
     def div(self, a, b, line, col):
         if b.is_zero():
@@ -254,30 +192,34 @@ class _RationalContext:
         return a / b
 
     def pow(self, a, n, line, col):
-        if n < 0 and a.is_zero():
+        if n < 0 and self.weight is None and not self.allows_division:
+            raise ParseError("negative exponent is only allowed on the weight variable w",
+                             line, col)
+        if n < 0 and self.allows_division and a.is_zero():
             raise ParseError("negative power of zero", line, col)
-        return a ** n
+        t = _term_count(a)
+        if t > 1 and comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
+            raise ParseError(f"power {n} of a {t}-term expression may exceed "
+                             f"{MAX_POWER_TERMS} terms", line, col)
+        try:
+            return a ** n
+        except AlgebraError as exc:
+            raise ParseError(str(exc), line, col)
+
+
+def _parse(text: str, line: int, col0: int, context: _Context):
+    tokens = _tokenize(text, line, col0)
+    if not tokens:
+        raise ParseError("empty expression", line)
+    return _ExprParser(tokens, line, context).parse()
 
 
 def parse_polynomial(text: str, ring: PolyRing, line: int = 1, col0: int = 0) -> Polynomial:
-    tokens = _tokenize(text, line, col0)
-    if not tokens:
-        raise ParseError("empty expression", line)
-    return _ExprParser(tokens, line, _PolyContext(ring)).parse()
+    return _parse(text, line, col0, _Context(ring, lambda p: p))
 
 
 def parse_rational(text: str, ring: PolyRing, line: int = 1) -> RationalFunction:
-    tokens = _tokenize(text, line, 0)
-    if not tokens:
-        raise ParseError("empty expression", line)
-    return _ExprParser(tokens, line, _RationalContext(ring)).parse()
-
-
-def _parse_laurent(text: str, ring: PolyRing, line: int, col0: int) -> LaurentPoly:
-    tokens = _tokenize(text, line, col0)
-    if not tokens:
-        raise ParseError("empty expression", line)
-    return _ExprParser(tokens, line, _LaurentContext(ring)).parse()
+    return _parse(text, line, 0, _Context(ring, RationalFunction.from_poly, division=True))
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -471,11 +413,10 @@ def parse_problem(text: str) -> ProblemFile:
             name = head_words[1]
             require(name in ring.names, f"unknown ring variable {name!r}", lineno)
             require(name not in gmact, f"duplicate gmact line for {name!r}", lineno)
-            try:
-                context_ring = ring
-                gmact[name] = _parse_laurent(expr_text, context_ring, lineno, expr_col)
-            except ValidationError as exc:
-                raise ParseError(str(exc), lineno)
+            require("w" not in ring.names,
+                    "ring variable 'w' collides with the weight variable", lineno)
+            gmact[name] = _parse(expr_text, lineno, expr_col,
+                                 _Context(ring, LaurentPoly.from_poly, weight="w"))
         elif keyword == "pair":
             require(ring is not None, "pair before ring", lineno)
             require(expr_text is None, "pair lines do not use '='", lineno)

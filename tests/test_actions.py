@@ -127,6 +127,32 @@ class TestStabilizer:
             e1.action.stabilizer_ideal([Fraction(1)])
 
 
+class TestLaurentPower:
+    def test_power_equals_repeated_product(self):
+        ring = PolyRing(["x"], QQ)
+        f = LaurentPoly(ring, {-1: ring.var("x"), 2: ring.const(Fraction(3))})
+        product = LaurentPoly.from_poly(ring.one())
+        for n in range(7):
+            assert f ** n == product
+            product = product * f
+
+    def test_negative_power_of_a_unit(self):
+        ring = PolyRing(["x"], QQ)
+        unit = LaurentPoly(ring, {2: ring.const(Fraction(2))})
+        assert unit ** -3 == LaurentPoly(ring, {-6: ring.const(Fraction(1, 8))})
+        assert (unit ** -3) * (unit ** 3) == LaurentPoly.from_poly(ring.one())
+        with pytest.raises(AlgebraError, match="non-unit"):
+            LaurentPoly(ring, {1: ring.var("x")}) ** -1
+        with pytest.raises(AlgebraError, match="non-unit"):
+            LaurentPoly.zero(ring) ** -1
+
+    def test_huge_weight_power_is_immediate(self):
+        ring = PolyRing(["x"], QQ)
+        w = LaurentPoly(ring, {1: ring.one()})
+        assert (w ** 10**9).weights() == [10**9]
+        assert (w ** -10**9).weights() == [-10**9]
+
+
 class TestGmAction:
     def test_validate(self, gm_diag):
         assert validate_gm_action(gm_diag.action).passed

@@ -181,6 +181,30 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert code == 2 and "zero minor" in err
 
+    def test_nagata_rejects_non_utf8_points(self, tmp_path, capsys):
+        points = tmp_path / "pts.txt"
+        points.write_bytes(b"\xff1\n2\n3\n4\n")
+        code = run(["nagata", "4", "3", "--points", str(points)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("error: cannot read") and "not UTF-8" in captured.err
+
+    def test_nagata_missing_points_file_is_exit_2(self, tmp_path, capsys):
+        code = run(["nagata", "4", "3", "--points", str(tmp_path / "none.txt")])
+        assert code == 2 and "cannot read" in capsys.readouterr().err
+
+    def test_huge_power_is_refused_quickly(self, tmp_path):
+        bad = tmp_path / "huge.prob"
+        bad.write_text("field Q\nring z1 z2\ngroup dim 1 coords t\n"
+                       "mult t = a1 + b1\ninv t = -t\nact z1 = z1\n"
+                       "act z2 = z2 + t*z1 + (z1 + z2)^100000\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pairkit", "check-group", str(bad)],
+                              capture_output=True, text=True, timeout=10,
+                              env={"PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("error: ") and "100000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_invariants_on_non_principle_pair(self, capsys):
         code, out = invoke(capsys, "invariants", path("e2.prob"), "--pair", "1")
         assert code == 1

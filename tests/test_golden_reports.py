@@ -1,4 +1,4 @@
-"""Whole-report regression: every shipped problem under eight CLI verbs.
+"""Whole-report regression: every shipped problem under twelve CLI verbs.
 
 The golden file pins stdout and the exit code of each call byte for byte,
 where the verb tests only check substrings.  Regenerate it deliberately,
@@ -28,6 +28,10 @@ VERBS = (
     ("factor",),
     ("pedestal",),
     ("stable",),
+    ("check-group",),
+    ("check-action",),
+    ("check-endo",),
+    ("semi-invariant", "--g", "x", "--h", "y", "--e", "1", "--q", "0"),
 )
 PROBLEM_NAMES = sorted(p.name for p in PROBLEMS.glob("*.prob"))
 

@@ -3,9 +3,9 @@
 replaced or inserted or one word swapped for a grammar word, and files of
 random lines built from the grammar's words, the shipped lines and arbitrary
 characters.  Arbitrary bytes, invalid UTF-8 included, end the same way.
-Numbers stay small: exponents have no size limit yet, so a large one stalls
-the parse instead of failing (an open item of its own).  Skipped when
-hypothesis is absent."""
+The words include large numbers, so powers such as `(z1 + z2)^100000` are
+drawn too; the parser refuses them by their size.  Skipped when hypothesis
+is absent."""
 
 import contextlib
 import io
@@ -25,12 +25,16 @@ SHIPPED_LINES = sorted({line for lines in SHIPPED for line in lines})
 WORDS = ["version", "field", "ring", "relation", "group", "dim", "coords",
          "mult", "inv", "endo", "act", "gmact", "pair", "point", "g", "h",
          "Q", "Fp", "=", "#", "z1", "z2", "t", "t1", "t2", "a1", "b1", "w",
-         "0", "1", "2", "3", "7", "1/2", "\u00b2", "\u0663", "-", "+", "*",
+         "0", "1", "2", "3", "7", "1/2", "60", "2000", "100000", "\u00b2", "\u0663", "-", "+", "*",
          "^", "/", "(", ")"]
 
 characters = st.characters(blacklist_categories=("Cs",))
+power_line = st.builds("act z2 = z2 + t*z1 + ({})^{}".format,
+                       st.sampled_from(["z1 + z2", "z1 - 1/2*z2 + t", "z1", "2"]),
+                       st.integers(0, 10**6))
 any_line = st.one_of(
     st.sampled_from(SHIPPED_LINES),
+    power_line,
     st.lists(st.sampled_from(WORDS), max_size=10).map(" ".join),
     st.text(alphabet=characters, max_size=20))
 
@@ -81,3 +85,13 @@ def test_check_group_ends_in_a_verdict_or_a_named_error(tmp_path_factory, text):
 @given(content=st.binary(max_size=40))
 def test_check_group_on_arbitrary_bytes(tmp_path_factory, content):
     check_group(tmp_path_factory, content)
+
+
+E1_LINES = (PROBLEMS / "e1.prob").read_text(encoding="utf-8").splitlines()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(line=power_line)
+def test_check_group_refuses_or_expands_any_power(tmp_path_factory, line):
+    text = "\n".join(line if old.startswith("act z2") else old for old in E1_LINES)
+    check_group(tmp_path_factory, (text + "\n").encode("utf-8"))

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from pairkit.errors import ParseError
-from pairkit.fields import QQ
+from pairkit.fields import QQ, FieldSpec
 from pairkit.poly import PolyRing, RationalFunction
-from pairkit.problem import (parse_polynomial, parse_problem, parse_rational,
-                             render, render_problem)
+from pairkit.problem import (MAX_POWER_TERMS, parse_polynomial, parse_problem,
+                             parse_rational, render, render_problem)
 
 from conftest import PROBLEMS, load
 
@@ -178,3 +178,147 @@ class TestProbeParsing:
         R = PolyRing(["z1", "z2"], QQ)
         probe = parse_rational("z1*z2 + 2*z1", R)
         assert probe.is_polynomial()
+
+
+class TestPowerSizeLimit:
+    """Powers are refused, before they are expanded, when the multinomial
+    count C(n + t - 1, t - 1) of a t-term base exceeds MAX_POWER_TERMS."""
+
+    R = PolyRing(["z1", "z2", "z3"], QQ)
+
+    def test_bound_is_the_multinomial_count(self):
+        assert MAX_POWER_TERMS == 500
+        # C(32, 2) = 496 terms pass, C(33, 2) = 528 do not
+        assert len(parse_polynomial("(z1 + z2 + z3)^30", self.R).terms) == 496
+        with pytest.raises(ParseError, match="power 31 of a 3-term") as err:
+            parse_polynomial("(z1 + z2 + z3)^31", self.R, 5, 10)
+        assert (err.value.line, err.value.col) == (5, 26)
+
+    def test_single_term_bases_always_pass(self):
+        assert parse_polynomial("z1^100000", self.R).total_degree() == 100000
+        assert parse_polynomial("(-2*z1*z2)^600", self.R).total_degree() == 1200
+
+    @pytest.mark.parametrize("kind,text", [
+        ("poly", "(z1 + z2)^100000"), ("rat", "(z1 + z2)^-1000"),
+        ("rat", "(1/(z1 + z2))^1000"), ("gm", "(x + w)^1000*x")])
+    def test_every_context_refuses(self, kind, text):
+        with pytest.raises(ParseError, match="may exceed 500 terms"):
+            parse_in(kind, text)
+
+    def test_laurent_weight_powers_pass(self):
+        problem = parse_in("gm", "w^-100000*x")
+        assert problem.action.v_for("x").weights() == [-100000]
+
+
+GM_HEAD = "field Q\nring x y\ngmact y = y\ngmact x = "
+GM_F2_HEAD = "field Fp 2\nring x y\ngmact y = y\ngmact x = "
+
+
+def parse_in(kind, text):
+    """Parse `text` as a polynomial (line 4, column offset 7), a polynomial
+    over F_2, a probe (line 2), the Laurent right-hand side of a gmact line
+    (line 4) or a whole problem."""
+    R = PolyRing(["z1", "z2"], QQ)
+    if kind == "poly":
+        return parse_polynomial(text, R, 4, 7)
+    if kind == "polyF2":
+        return parse_polynomial(text, PolyRing(["z1", "z2"], FieldSpec.prime(2)))
+    if kind == "rat":
+        return parse_rational(text, R, 2)
+    if kind == "gm":
+        return parse_problem(GM_HEAD + text + "\n")
+    if kind == "gm2":
+        return parse_problem(GM_F2_HEAD + text + "\n")
+    return parse_problem(text)
+
+
+# full messages, line and column included, of every expression context
+PINNED_ERRORS = [
+    ('poly', 'z1 + @',
+     "unexpected character '@' (line 4, col 13)"),
+    ('poly', '',
+     'empty expression (line 4)'),
+    ('poly', '   ',
+     'empty expression (line 4)'),
+    ('poly', 'z1 +',
+     'unexpected end of expression (line 4)'),
+    ('poly', '(z1',
+     'unexpected end of expression (line 4)'),
+    ('poly', 'z1 z2',
+     "unexpected trailing 'z2' (line 4, col 11)"),
+    ('poly', 'z1 / z2',
+     'division is only allowed between integer literals (line 4, col 11)'),
+    ('poly', '1/0',
+     'zero denominator in rational literal (line 4, col 10)'),
+    ('poly', 'q',
+     "undeclared variable 'q' (line 4, col 8)"),
+    ('poly', 'z1^-1',
+     'negative exponent is only allowed on the weight variable w (line 4, col 12)'),
+    ('poly', 'z1^z2',
+     'exponent must be an integer (line 4, col 11)'),
+    ('poly', 'z1^',
+     'unexpected end of expression (line 4)'),
+    ('poly', ')',
+     "unexpected token ')' (line 4, col 8)"),
+    ('poly', '2*(z1 + z2))',
+     "unexpected trailing ')' (line 4, col 19)"),
+    ('polyF2', '1/2',
+     'denominator 2 is divisible by the modulus 2 (line 1, col 1)'),
+    ('polyF2', 'z1 + 3/4*z2',
+     'denominator 4 is divisible by the modulus 2 (line 1, col 6)'),
+    ('rat', 'z1/0',
+     'division by zero (line 2, col 3)'),
+    ('rat', 'z1/(z2 - z2)',
+     'division by zero (line 2, col 3)'),
+    ('rat', '0^-1',
+     'negative power of zero (line 2, col 4)'),
+    ('rat', '(z1 - z1)^-2',
+     'negative power of zero (line 2, col 12)'),
+    ('rat', 'z1 + #',
+     "unexpected character '#' (line 2, col 6)"),
+    ('rat', '',
+     'empty expression (line 2)'),
+    ('rat', 'w',
+     "undeclared variable 'w' (line 2, col 1)"),
+    ('rat', 'z1^/z2',
+     'exponent must be an integer (line 2, col 4)'),
+    ('gm', '(x + w)^-1',
+     'negative power of a non-unit Laurent polynomial (line 4, col 20)'),
+    ('gm', 'q*w',
+     "undeclared variable 'q' (line 4, col 11)"),
+    ('gm', '0^-1',
+     'negative power of a non-unit Laurent polynomial (line 4, col 14)'),
+    ('gm', 'x / y',
+     'division is only allowed between integer literals (line 4, col 13)'),
+    ('gm', '1/0*w',
+     'zero denominator in rational literal (line 4, col 13)'),
+    ('gm', 'w^-',
+     'unexpected end of expression (line 4)'),
+    ('gm', '(w',
+     'unexpected end of expression (line 4)'),
+    ('gm', '',
+     'empty expression (line 4)'),
+    ('gm', 'w x',
+     "unexpected trailing 'x' (line 4, col 13)"),
+    ('gm2', '(2*w)^-1',
+     'negative power of a non-unit Laurent polynomial (line 4, col 18)'),
+    ('gm2', '1/2*w',
+     'denominator 2 is divisible by the modulus 2 (line 4, col 11)'),
+    ('prob', 'field Q\nring x w\ngmact x = w*x\ngmact w = w\n',
+     "ring variable 'w' collides with the weight variable (line 3)"),
+    ('prob', 'field Q\nring z\ngroup dim 1 coords t\nmult t = a1 + b1 + c\ninv t = -t\n',
+     "undeclared variable 'c' (line 4, col 20)"),
+    ('prob', 'field Q\nring z\ngroup dim 1 coords t\nmult t = a1 + b1\ninv t = -t\nact z = z + t^-2\n',
+     'negative exponent is only allowed on the weight variable w (line 6, col 16)'),
+    ('prob', 'field Q\nring z\nrelation z^2 + ^\n',
+     "unexpected token '^' (line 3, col 16)"),
+    ('prob', 'field Q\nring z\ngroup dim 1 coords t\nmult t = a1 + b1\ninv t = -t\nact z = z + t*z\npair 1 g z^-1\n',
+     'negative exponent is only allowed on the weight variable w (line 7, col 13)'),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", PINNED_ERRORS)
+def test_parse_error_message_is_pinned(kind, text, message):
+    with pytest.raises(ParseError) as err:
+        parse_in(kind, text)
+    assert str(err.value) == message
