@@ -300,11 +300,7 @@ def _spoly_dict(f, g, order, arith):
     lcm = _mono_lcm(fe, ge)
     uf = _mono_div(lcm, fe)
     ug = _mono_div(lcm, ge)
-    if arith.is_modular:
-        a, b = 1, fc * pow(gc, -1, arith.p) % arith.p
-    else:
-        g0 = gcd(fc, gc)
-        a, b = gc // g0, fc // g0
+    a, b = arith.elim_factors(fc, gc)
     out = {}
     for e, c in fd.items():
         out[tuple(x + y for x, y in zip(e, uf))] = a * c

@@ -199,26 +199,23 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
 
     # induced multiplication: rewrite alpha(m(A, B)) over the alpha-images of
     # both factors, then rename the primed variables to the standard a/b ones
-    a_names, b_names = mult_var_names(law.s)
-    ap_names = fresh_names("ap", law.s, a_names + b_names, numbered=True)
-    bp_names = fresh_names("bp", law.s, a_names + b_names + ap_names,
-                           numbered=True)
-    big2 = PolyRing(tuple(a_names + b_names) + tuple(ap_names + bp_names), field)
-    alpha_a = [p.cast(big2, rename=dict(zip(law.coords, a_names))) for p in alpha.phi]
-    alpha_b = [p.cast(big2, rename=dict(zip(law.coords, b_names))) for p in alpha.phi]
-    gens2 = [big2.var(ap) - img for ap, img in zip(ap_names, alpha_a)]
-    gens2 += [big2.var(bp) - img for bp, img in zip(bp_names, alpha_b)]
-    q = [p.subs_poly(dict(zip(law.coords, law.mult))).cast(big2) for p in alpha.phi]
-    m_new = _rewrite_through(q, gens2, a_names + b_names, big2,
-                             a_names + b_names, "multiplication")
-    mult_ring = PolyRing(a_names + b_names, field)
-    m_new = [p.cast(mult_ring, rename=dict(zip(ap_names + bp_names,
-                                               a_names + b_names))) for p in m_new]
+    s = law.s
+    ab_names = law.mult_ring.names
+    ap_names = fresh_names("ap", s, ab_names, numbered=True)
+    bp_names = fresh_names("bp", s, set(ab_names) | set(ap_names), numbered=True)
+    big2 = law.mult_ring.extend(ap_names + bp_names)
+    vars2 = big2.gens()
+    A, B, primed = vars2[:s], vars2[s:2 * s], vars2[2 * s:]
+    gens2 = [p - img for p, img in zip(primed, alpha.apply(A) + alpha.apply(B))]
+    m_new = _rewrite_through(alpha.apply(law.multiply_tuples(A, B)), gens2, ab_names,
+                             big2, ab_names, "multiplication")
+    m_new = [p.cast(law.mult_ring, rename=dict(zip(ap_names + bp_names, ab_names)))
+             for p in m_new]
 
     # induced inversion: rewrite alpha(inv(T)) over <u - alpha(T)>
     big3 = PolyRing(law.coords + tuple(u_names), field)
     gens3 = [big3.var(u) - a.cast(big3) for u, a in zip(u_names, alpha.phi)]
-    q_inv = [p.subs_poly(dict(zip(law.coords, law.inv))).cast(big3) for p in alpha.phi]
+    q_inv = [p.cast(big3) for p in alpha.apply(law.inv)]
     inv_new = _rewrite_through(q_inv, gens3, law.coords, big3, law.coords, "inversion")
     new_coords_ring = PolyRing(u_names, field)
     inv_new = [p.cast(new_coords_ring) for p in inv_new]
@@ -235,19 +232,10 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
                  ", ".join(action_report.failures) or None)
 
     # defining identity v_i(Z, Y) = v'_i(Z, alpha#(Y))
-    check_ring = PolyRing(ring.names + law.coords, field)
-    identity_ok = True
-    witness = None
-    for name, v_prime in zip(ring.names, new_action.v):
-        mapping = {zn: check_ring.var(zn) for zn in ring.names}
-        mapping.update({u: a.cast(check_ring) for u, a in zip(u_names, alpha.phi)})
-        recomposed = v_prime.subs_poly(mapping)
-        original = action.v_for(name).cast(check_ring)
-        if recomposed != original:
-            identity_ok = False
-            witness = f"{name}: {(recomposed - original).text()}"
-            break
-    report.check("defining-identity", identity_ok, witness)
+    zy = action.big_ring.gens()
+    Z, Y = zy[:ring.nvars], zy[ring.nvars:]
+    report.check_equal("defining-identity", new_action.apply(Z, alpha.apply(Y)), action.v,
+                       ring.names)
     if not report.passed:
         raise InternalCheckError("factor_through_kernel self-checks failed: "
                                  + ", ".join(report.failures))

@@ -11,7 +11,7 @@ from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
 from .gbasis import (Ideal, buchberger, eliminate, groebner,
                      ideal_dimension, normal_form, reduce_full, saturate)
-from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal, mult_var_names
+from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
 from .linalg import formal_jacobian_rank, jacobian_rank
 from .orders import GREVLEX, BlockOrder
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
@@ -87,10 +87,9 @@ def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
     big = action.big_ring
     rel_basis = groebner(Ideal(big, [r.cast(big) for r in relations]), GREVLEX) \
         if relations else None
-    alpha_tuple = [RationalFunction.from_poly(p.cast(big)) for p in pair.alpha.phi]
     gh_tuple = [RationalFunction(g.cast(big), h.cast(big))
                 for g, h in zip(pair.g, pair.h)]
-    rhs = law.multiply_tuples(alpha_tuple, gh_tuple)
+    rhs = law.multiply_tuples(pair.alpha.apply(big.gens()[action.ring.nvars:]), gh_tuple)
     for i in range(law.s):
         lhs_i = action.pushforward(RationalFunction(pair.g[i], pair.h[i]))
         diff = lhs_i.num * rhs[i].den - rhs[i].num * lhs_i.den
@@ -243,20 +242,14 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair):
     w_names = fresh_names("w", law.s, set(ring.names) | set(law.coords))
     cover_ring = PolyRing(ring.names + tuple(w_names), field)
 
-    relations = []
-    for i in range(law.s):
-        alpha_w = pair.alpha.phi[i].cast(cover_ring,
-                                         rename=dict(zip(law.coords, w_names)))
-        relations.append(pair.h[i].cast(cover_ring) * alpha_w - pair.g[i].cast(cover_ring))
+    alpha_w = pair.alpha.apply(cover_ring.gens()[ring.nvars:])
+    relations = [h.cast(cover_ring) * a - g.cast(cover_ring)
+                 for g, h, a in zip(pair.g, pair.h, alpha_w)]
 
     big = PolyRing(cover_ring.names + law.coords, field)
-    v_new = [p.cast(big) for p in action.v]
-    a_names, b_names = mult_var_names(law.s)
-    y_vars = [big.var(c) for c in law.coords]
-    w_vars = [big.var(w) for w in w_names]
-    for i in range(law.s):
-        v_new.append(law.mult[i].subs_poly(
-            {**dict(zip(a_names, y_vars)), **dict(zip(b_names, w_vars))}))
+    gens = big.gens()
+    W, Y = gens[ring.nvars:cover_ring.nvars], gens[cover_ring.nvars:]
+    v_new = [p.cast(big) for p in action.v] + law.multiply_tuples(Y, W)
     cover_action = CoAction(law, cover_ring, v_new)
 
     action_report = validate_action(cover_action)

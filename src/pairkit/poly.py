@@ -298,7 +298,7 @@ class Polynomial:
             term = const(target, c)
             for i, e in enumerate(exps):
                 if e:
-                    cache = powers.setdefault(i, [one])
+                    cache = powers.setdefault(i, [one, mapping[self.ring.names[i]]])
                     while len(cache) <= e:
                         cache.append(cache[-1] * mapping[self.ring.names[i]])
                     term = term * cache[e]

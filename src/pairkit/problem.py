@@ -21,9 +21,26 @@ GRAMMAR_VERSION = 1
 # a power whose expansion could have more terms than this is refused: the
 # binomial (z1 + z2)^1000 already takes seconds to expand over Q
 MAX_POWER_TERMS = 500
+# a problem line or probe of higher total degree in the ring and group
+# variables is refused: validation builds every power of an image up to it.
+# Frobenius twists t^p stay allowed for p < 2048 (t^2003 validates in ~10 s)
+MAX_DEGREE = 2048
+# a power of a constant over Q is refused when its numerator or denominator
+# could exceed this many bits
+MAX_CONSTANT_BITS = 4096
+# a longer integer literal is refused; this stays below 640, the least value
+# Python's int digit limit can be set to, so int() never raises on a literal
+MAX_LITERAL_DIGITS = 600
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*^/()]))")
+
+
+def _int(digits: str, line: int, col=None) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"integer literal of {len(digits)} digits exceeds "
+                         f"{MAX_LITERAL_DIGITS} digits", line, col)
+    return int(digits)
 
 
 def _tokenize(text: str, line: int, col0: int):
@@ -38,7 +55,8 @@ def _tokenize(text: str, line: int, col0: int):
             raise ParseError(f"unexpected character {stripped[0]!r}", line,
                              col0 + pos + (len(text[pos:]) - len(stripped)) + 1)
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), col0 + m.start("int") + 1))
+            col = col0 + m.start("int") + 1
+            tokens.append(("int", _int(m.group("int"), line, col), col))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), col0 + m.start("ident") + 1))
         else:
@@ -152,13 +170,20 @@ class _ExprParser:
         raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
 
 
+def _polys(value):
+    """The polynomials a parsed value is made of."""
+    if isinstance(value, RationalFunction):
+        return [value.num, value.den]
+    if isinstance(value, LaurentPoly):
+        return list(value.comps.values())
+    return [value]
+
+
 def _term_count(value) -> int:
     """Terms of a parsed value; of a rational function, the larger side's."""
     if isinstance(value, RationalFunction):
         return max(len(value.num.terms), len(value.den.terms))
-    if isinstance(value, LaurentPoly):
-        return sum(len(p.terms) for p in value.comps.values())
-    return len(value.terms)
+    return sum(len(p.terms) for p in _polys(value))
 
 
 class _Context:
@@ -201,6 +226,14 @@ class _Context:
         if t > 1 and comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
             raise ParseError(f"power {n} of a {t}-term expression may exceed "
                              f"{MAX_POWER_TERMS} terms", line, col)
+        polys = _polys(a)
+        if self.ring.field.p is None and all(p.is_constant() for p in polys):
+            # ceil(log2) of |numerator| and denominator: powers of 1 cost nothing
+            bits = max(((abs(x) - 1).bit_length() for p in polys for c in p.terms.values()
+                        for x in (c.numerator, c.denominator)), default=0)
+            if abs(n) * bits > MAX_CONSTANT_BITS:
+                raise ParseError(f"power {n} of a {bits}-bit constant may exceed "
+                                 f"{MAX_CONSTANT_BITS} bits", line, col)
         try:
             return a ** n
         except AlgebraError as exc:
@@ -214,12 +247,22 @@ def _parse(text: str, line: int, col0: int, context: _Context):
     return _ExprParser(tokens, line, context).parse()
 
 
+def _bounded(value, line: int):
+    """A parsed problem line or probe, refused above MAX_DEGREE in the ring
+    variables, since it is validated or acted on afterwards."""
+    degree = max((p.total_degree() for p in _polys(value)), default=-1)
+    if degree > MAX_DEGREE:
+        raise ParseError(f"total degree {degree} exceeds {MAX_DEGREE}", line)
+    return value
+
+
 def parse_polynomial(text: str, ring: PolyRing, line: int = 1, col0: int = 0) -> Polynomial:
     return _parse(text, line, col0, _Context(ring, lambda p: p))
 
 
 def parse_rational(text: str, ring: PolyRing, line: int = 1) -> RationalFunction:
-    return _parse(text, line, 0, _Context(ring, RationalFunction.from_poly, division=True))
+    return _bounded(_parse(text, line, 0,
+                           _Context(ring, RationalFunction.from_poly, division=True)), line)
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -229,11 +272,11 @@ def _parse_point_value(word: str, field: FieldSpec, line: int):
     m = _RATIONAL_RE.match(word)
     if not m:
         raise ParseError(f"bad rational literal {word!r}", line)
-    den = int(m.group(2)) if m.group(2) else 1
+    den = _int(m.group(2), line) if m.group(2) else 1
     if den == 0:
         raise ParseError("zero denominator in rational literal", line)
     try:
-        return field.from_fraction(Fraction(int(m.group(1)), den))
+        return field.from_fraction(Fraction(_int(m.group(1), line), den))
     except AlgebraError as exc:
         raise ParseError(str(exc), line)
 
@@ -335,7 +378,7 @@ def parse_problem(text: str) -> ProblemFile:
         if keyword == "version":
             require(len(head_words) == 2 and head_words[1].isdecimal(),
                     "usage: version <n>", lineno)
-            require(int(head_words[1]) == GRAMMAR_VERSION,
+            require(_int(head_words[1], lineno) == GRAMMAR_VERSION,
                     f"unsupported version {head_words[1]} (supported: {GRAMMAR_VERSION})",
                     lineno)
         elif keyword == "field":
@@ -345,7 +388,7 @@ def parse_problem(text: str) -> ProblemFile:
             elif len(head_words) == 3 and head_words[1] == "Fp":
                 require(head_words[2].isdecimal(), "usage: field Fp <p>", lineno)
                 try:
-                    field = FieldSpec.prime(int(head_words[2]))
+                    field = FieldSpec.prime(_int(head_words[2], lineno))
                 except ValidationError as exc:
                     raise ParseError(str(exc), lineno)
             else:
@@ -363,15 +406,15 @@ def parse_problem(text: str) -> ProblemFile:
             require(expr_text is None, "relation lines do not use '='", lineno)
             parts = body.split(None, 1)
             require(len(parts) == 2, "usage: relation <poly>", lineno)
-            relations.append(parse_polynomial(parts[1], ring, lineno,
-                                              body.find(parts[1])))
+            relations.append(_bounded(parse_polynomial(parts[1], ring, lineno,
+                                                       body.find(parts[1])), lineno))
         elif keyword == "group":
             require(ring is not None, "group before ring", lineno)
             require(group_coords is None, "duplicate group directive", lineno)
             require(len(head_words) >= 4 and head_words[1] == "dim"
                     and head_words[2].isdecimal() and head_words[3] == "coords",
                     "usage: group dim <s> coords <t1> ... <ts>", lineno)
-            s = int(head_words[2])
+            s = _int(head_words[2], lineno)
             coords = head_words[4:]
             require(s >= 1, "group dimension must be positive", lineno)
             require(len(coords) == s, f"expected {s} coordinate names", lineno)
@@ -393,7 +436,8 @@ def parse_problem(text: str) -> ProblemFile:
                 expr_ring = PolyRing(a_names + b_names, field)
             else:
                 expr_ring = PolyRing(group_coords, field)
-            target[coord] = parse_polynomial(expr_text, expr_ring, lineno, expr_col)
+            target[coord] = _bounded(parse_polynomial(expr_text, expr_ring, lineno,
+                                                      expr_col), lineno)
         elif keyword == "act":
             require(ring is not None, "act before ring", lineno)
             require(group_coords is not None, "act before group", lineno)
@@ -404,7 +448,7 @@ def parse_problem(text: str) -> ProblemFile:
             require(name in ring.names, f"unknown ring variable {name!r}", lineno)
             require(name not in act, f"duplicate act line for {name!r}", lineno)
             big = PolyRing(ring.names + tuple(group_coords), field)
-            act[name] = parse_polynomial(expr_text, big, lineno, expr_col)
+            act[name] = _bounded(parse_polynomial(expr_text, big, lineno, expr_col), lineno)
         elif keyword == "gmact":
             require(ring is not None, "gmact before ring", lineno)
             require(not act, "cannot mix act and gmact", lineno)
@@ -415,19 +459,20 @@ def parse_problem(text: str) -> ProblemFile:
             require(name not in gmact, f"duplicate gmact line for {name!r}", lineno)
             require("w" not in ring.names,
                     "ring variable 'w' collides with the weight variable", lineno)
-            gmact[name] = _parse(expr_text, lineno, expr_col,
-                                 _Context(ring, LaurentPoly.from_poly, weight="w"))
+            gmact[name] = _bounded(_parse(expr_text, lineno, expr_col,
+                                          _Context(ring, LaurentPoly.from_poly, weight="w")),
+                                   lineno)
         elif keyword == "pair":
             require(ring is not None, "pair before ring", lineno)
             require(expr_text is None, "pair lines do not use '='", lineno)
             require(len(head_words) >= 4 and head_words[1].isdecimal()
                     and head_words[2] in ("g", "h"),
                     "usage: pair <idx> g <poly> | pair <idx> h <poly>", lineno)
-            idx = int(head_words[1])
+            idx = _int(head_words[1], lineno)
             require(idx >= 1, "pair index must be >= 1", lineno)
             expr_str = body.split(None, 3)[3]
             col = body.find(expr_str)
-            poly = parse_polynomial(expr_str, ring, lineno, col)
+            poly = _bounded(parse_polynomial(expr_str, ring, lineno, col), lineno)
             bucket = pair_g if head_words[2] == "g" else pair_h
             bucket.setdefault(idx, []).append(poly)
         elif keyword == "point":

@@ -23,6 +23,17 @@ class Report:
             if witness:
                 self.entries.append((f"{key}-witness", witness))
 
+    def check_equal(self, key: str, got, expected, labels=None):
+        """Check got == expected componentwise; the witness is the first
+        differing component's difference, after its label when labels are
+        given."""
+        for i, (g, e) in enumerate(zip(got, expected)):
+            if g != e:
+                diff = (g - e).text()
+                self.check(key, False, diff if labels is None else f"{labels[i]}: {diff}")
+                return
+        self.check(key, True)
+
     def merge(self, other: "Report", prefix: str = ""):
         for key, value in other.entries:
             self.entries.append((prefix + key, value))

@@ -205,6 +205,31 @@ class TestVerbs:
         assert proc.stderr.startswith("error: ") and "100000" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("line,reason", [
+        ("act z2 = z2 + t*z1^1000000", "total degree 1000001 exceeds 2048"),
+        ("act z2 = z2 + 3^3000000*t", "power 3000000 of a 2-bit constant"),
+        ("relation z1^" + "9" * 5000, "integer literal of 5000 digits"),
+        ("point " + "9" * 5000 + " 1", "integer literal of 5000 digits")],
+        ids=["degree", "constant", "literal", "point"])
+    def test_oversized_input_is_refused_quickly(self, tmp_path, line, reason):
+        lines = ["field Q", "ring z1 z2", "group dim 1 coords t", "mult t = a1 + b1",
+                 "inv t = -t", "act z1 = z1", "act z2 = z2 + t*z1"]
+        keyword = line.split()[0]
+        if keyword == "relation":
+            lines.insert(2, line)
+        elif keyword == "act":
+            lines[-1] = line
+        else:
+            lines.append(line)
+        bad = tmp_path / "oversized.prob"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pairkit", "check-action", str(bad)],
+                              capture_output=True, text=True, timeout=10,
+                              env={"PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("error: ") and reason in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_invariants_on_non_principle_pair(self, capsys):
         code, out = invoke(capsys, "invariants", path("e2.prob"), "--pair", "1")
         assert code == 1

@@ -1,8 +1,13 @@
-"""Whole-report regression: every shipped problem under twelve CLI verbs.
+"""Whole-report regression: every shipped problem under twelve CLI verbs,
+and a table of inline problems whose law, action or endomorphism fails.
 
-The golden file pins stdout and the exit code of each call byte for byte,
-where the verb tests only check substrings.  Regenerate it deliberately,
-after a change that is meant to alter a report, with
+The golden files pin stdout and the exit code of each call byte for byte,
+where the verb tests only check substrings.  Every shipped problem passes
+its validators, so the failing table is what pins the witness texts: apart
+from the copies of the benchmark's one-coordinate bad-* files, each of its
+problems has two or more coordinates, and a later coordinate is the first
+to fail.  Regenerate both files deliberately, after a change that is meant
+to alter a report, with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -11,6 +16,8 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +26,7 @@ from conftest import PROBLEMS, ROOT
 from pairkit.cli import run
 
 GOLDEN = ROOT / "tests" / "golden_reports.json"
+GOLDEN_FAILURES = ROOT / "tests" / "golden_failures.json"
 VERBS = (
     ("check-pair", "--pair", "1"),
     ("trdeg", "--pair", "1"),
@@ -35,16 +43,83 @@ VERBS = (
 )
 PROBLEM_NAMES = sorted(p.name for p in PROBLEMS.glob("*.prob"))
 
+HEAD = "field Q\nring z1 z2\n"
+VECTOR2 = ("group dim 2 coords t1 t2\nmult t1 = a1 + b1\nmult t2 = a2 + b2\n"
+           "inv t1 = -t1\ninv t2 = -t2\n")
+HEISENBERG = ("group dim 3 coords t1 t2 t3\nmult t1 = a1 + b1\nmult t2 = a2 + b2\n"
+              "mult t3 = a3 + b3 + a1*b2\ninv t1 = -t1\ninv t2 = -t2\n")
+REGULAR3 = "act z1 = z1 + t1\nact z2 = z2 + t2\nact z3 = z3 + t3 + t1*z2\n"
+# name -> (verb, problem text)
+FAILING = {
+    "associativity": ("check-group", HEAD + (
+        "group dim 3 coords t1 t2 t3\nmult t1 = a1 + b1\nmult t2 = a2 + b2 + a1*b1\n"
+        "mult t3 = a3 + b3 + a1^2*b1\ninv t1 = -t1\ninv t2 = -t2 + t1^2\n"
+        "inv t3 = -t3 + t1^3\nact z1 = z1\nact z2 = z2\n")),
+    "inverse": ("check-group", HEAD + (
+        "group dim 2 coords t1 t2\nmult t1 = a1 + b1\nmult t2 = a2 + b2 + a1*b1\n"
+        "inv t1 = -t1\ninv t2 = -t2 - t1^2\nact z1 = z1\nact z2 = z2\n")),
+    "inverse-heisenberg": ("check-group", "field Fp 3\nring z1 z2 z3\n" + HEISENBERG
+                           + "inv t3 = -t3\n" + REGULAR3),
+    "identity-left": ("check-group", HEAD + (
+        "group dim 2 coords t1 t2\nmult t1 = a1 + b1\nmult t2 = a2 + b2 + a1^2\n"
+        "inv t1 = -t1\ninv t2 = -t2\nact z1 = z1\nact z2 = z2\n")),
+    "identity-right": ("check-group", HEAD + (
+        "group dim 2 coords t1 t2\nmult t1 = a1 + b1\nmult t2 = a2 + b2 + b1^2\n"
+        "inv t1 = -t1\ninv t2 = -t2 - t1^2\nact z1 = z1\nact z2 = z2\n")),
+    "linear-part": ("check-group", "field Fp 5\nring z1 z2\n" + (
+        "group dim 2 coords t1 t2\nmult t1 = a1 + b1\nmult t2 = a2 + 3*b2 + a1*b1\n"
+        "inv t1 = -t1\ninv t2 = -t2\nact z1 = z1\nact z2 = z2\n")),
+    "action-unit": ("check-action", HEAD + (
+        "group dim 1 coords t\nmult t = a1 + b1\ninv t = -t\n"
+        "act z1 = z1 + t\nact z2 = z2 + 1 + t*z1\n")),
+    "action-compatibility": ("check-action", HEAD + (
+        "group dim 1 coords t\nmult t = a1 + b1\ninv t = -t\n"
+        "act z1 = z1 + t\nact z2 = z2 + t^2\n")),
+    "action-compatibility-fresh-names": ("check-action", "field Q\nring a z\n" + (
+        "group dim 1 coords t\nmult t = a1 + b1\ninv t = -t\n"
+        "act a = a\nact z = z + t^2*a\n")),
+    "action-compatibility-dim2": ("check-action", HEAD + VECTOR2 + (
+        "act z1 = z1 + t1\nact z2 = z2 + t2 + t1*t2\n")),
+    "endo-compatibility": ("check-endo", "field Q\nring z1 z2 z3\n" + HEISENBERG
+                           + "inv t3 = -t3 + t1*t2\nendo t1 = t1\nendo t2 = t2\n"
+                           "endo t3 = 2*t3\n" + REGULAR3),
+    "endo-compatibility-f2": ("check-endo", "field Fp 2\nring z1 z2\n" + VECTOR2 + (
+        "endo t1 = t1\nendo t2 = t2 + t1^3\nact z1 = z1 + t1\nact z2 = z2 + t2\n")),
+    "endo-origin": ("check-endo", HEAD + VECTOR2 + (
+        "endo t1 = t1\nendo t2 = t2 + 1\nact z1 = z1 + t1\nact z2 = z2 + t2\n")),
+    "gm-unit": ("check-action", "field Q\nring x y\ngmact x = x\ngmact y = w*y + 1\n"),
+    "gm-compatibility": ("check-action",
+                         "field Q\nring x y\ngmact x = x\ngmact y = w*y + w^2*x - x\n"),
+    # copies of the bad-* files of the benchmark's unipotent-desk corpus
+    "bad-law": ("check-group", "field Q\nring z\ngroup dim 1 coords t\n"
+                "mult t = a1 + b1 + a1*b1\ninv t = -t\nact z = z\n"),
+    "bad-action": ("check-action", "field Q\nring z\ngroup dim 1 coords t\n"
+                   "mult t = a1 + b1\ninv t = -t\nact z = z + t*z\n"),
+    "bad-endo": ("check-endo", "field Q\nring z\ngroup dim 1 coords t\n"
+                 "mult t = a1 + b1\ninv t = -t\nendo t = t^2\nact z = z\n"),
+}
+
 
 def call_key(name, verb):
     return " ".join([verb[0], name, *verb[1:]])
 
 
-def run_call(name, verb):
+def run_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run([verb[0], str(PROBLEMS / name), *verb[1:]])
+        code = run(argv)
     return {"exit": code, "stdout": out.getvalue()}
+
+
+def run_call(name, verb):
+    return run_argv([verb[0], str(PROBLEMS / name), *verb[1:]])
+
+
+def run_failing(directory: Path, name):
+    verb, text = FAILING[name]
+    path = directory / f"{name}.prob"
+    path.write_text(text, encoding="utf-8")
+    return run_argv([verb, str(path)])
 
 
 def collect():
@@ -52,9 +127,18 @@ def collect():
             for name in PROBLEM_NAMES for verb in VERBS}
 
 
+def collect_failing(directory: Path):
+    return {name: run_failing(directory, name) for name in FAILING}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def golden_failures():
+    return json.loads(GOLDEN_FAILURES.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_every_call(golden):
@@ -68,7 +152,22 @@ def test_report_matches_golden(golden, name, verb):
     assert run_call(name, verb) == golden[call_key(name, verb)]
 
 
+def test_golden_failures_cover_the_table(golden_failures):
+    assert sorted(golden_failures) == sorted(FAILING)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_validator_matches_golden(golden_failures, tmp_path, name):
+    outcome = run_failing(tmp_path, name)
+    assert outcome["exit"] == 1
+    assert outcome == golden_failures[name]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
-    sys.stdout.write(f"wrote {GOLDEN}\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        failing = collect_failing(Path(scratch))
+    GOLDEN_FAILURES.write_text(json.dumps(failing, indent=1, sort_keys=True) + "\n",
+                               encoding="utf-8")
+    sys.stdout.write(f"wrote {GOLDEN} and {GOLDEN_FAILURES}\n")

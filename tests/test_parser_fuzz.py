@@ -3,9 +3,9 @@
 replaced or inserted or one word swapped for a grammar word, and files of
 random lines built from the grammar's words, the shipped lines and arbitrary
 characters.  Arbitrary bytes, invalid UTF-8 included, end the same way.
-The words include large numbers, so powers such as `(z1 + z2)^100000` are
-drawn too; the parser refuses them by their size.  Skipped when hypothesis
-is absent."""
+The words include large numbers, so powers such as `(z1 + z2)^100000` and
+`z1^100000` are drawn too, and a 5000-digit literal; the parser refuses them
+by their size.  Skipped when hypothesis is absent."""
 
 import contextlib
 import io
@@ -25,8 +25,8 @@ SHIPPED_LINES = sorted({line for lines in SHIPPED for line in lines})
 WORDS = ["version", "field", "ring", "relation", "group", "dim", "coords",
          "mult", "inv", "endo", "act", "gmact", "pair", "point", "g", "h",
          "Q", "Fp", "=", "#", "z1", "z2", "t", "t1", "t2", "a1", "b1", "w",
-         "0", "1", "2", "3", "7", "1/2", "60", "2000", "100000", "\u00b2", "\u0663", "-", "+", "*",
-         "^", "/", "(", ")"]
+         "0", "1", "2", "3", "7", "1/2", "60", "2000", "100000", "9" * 5000, "\u00b2",
+         "\u0663", "-", "+", "*", "^", "/", "(", ")"]
 
 characters = st.characters(blacklist_categories=("Cs",))
 power_line = st.builds("act z2 = z2 + t*z1 + ({})^{}".format,

@@ -5,7 +5,8 @@ import pytest
 from pairkit.errors import ParseError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.poly import PolyRing, RationalFunction
-from pairkit.problem import (MAX_POWER_TERMS, parse_polynomial, parse_problem,
+from pairkit.problem import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS,
+                             MAX_POWER_TERMS, parse_polynomial, parse_problem,
                              parse_rational, render, render_problem)
 
 from conftest import PROBLEMS, load
@@ -212,6 +213,103 @@ class TestPowerSizeLimit:
 
 GM_HEAD = "field Q\nring x y\ngmact y = y\ngmact x = "
 GM_F2_HEAD = "field Fp 2\nring x y\ngmact y = y\ngmact x = "
+NINES = "9" * 5000
+LAW = "group dim 1 coords t\nmult t = a1 + b1\ninv t = -t\n"
+
+
+class TestLiteralSizeLimit:
+    """An integer literal longer than MAX_LITERAL_DIGITS is a ParseError that
+    names its line, at every place the grammar reads an integer, before
+    Python's own int digit limit can raise."""
+
+    @pytest.mark.parametrize("text,where", [
+        ("version " + NINES + "\nfield Q\n", "(line 1)"),
+        ("field Fp " + NINES + "\n", "(line 1)"),
+        ("field Q\nring z\nrelation z^" + NINES + "\n", "(line 3, col 12)"),
+        ("field Q\nring z\nrelation z - " + NINES + "\n", "(line 3, col 14)"),
+        ("field Q\nring z\ngroup dim " + NINES + " coords t\n", "(line 3)"),
+        ("field Q\nring z\n" + LAW + "act z = z\npair " + NINES + " g z\n", "(line 7)"),
+        ("field Q\nring z\n" + LAW + "act z = z\npoint " + NINES + "\n", "(line 7)"),
+        ("field Q\nring z\n" + LAW + "act z = z\npoint 1/" + NINES + "\n", "(line 7)")],
+        ids=["version", "field", "exponent", "constant", "group", "pair", "point",
+             "point-denominator"])
+    def test_long_literal_is_refused(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert str(err.value) == \
+            f"integer literal of 5000 digits exceeds {MAX_LITERAL_DIGITS} digits {where}"
+
+    def test_bound(self):
+        assert MAX_LITERAL_DIGITS == 600
+        assert parse_polynomial("9" * 600, PolyRing(["z"], QQ)).constant_value() == 10**600 - 1
+        with pytest.raises(ParseError, match="601 digits"):
+            parse_polynomial("9" * 601, PolyRing(["z"], QQ))
+
+
+class TestDegreeLimit:
+    """A problem line or probe of total degree above MAX_DEGREE in the ring
+    and group variables is refused; the library parser itself is not capped
+    (TestPowerSizeLimit), and weights of w are not degrees."""
+
+    HEAD = "field Q\nring z1 z2\n" + LAW + "act z1 = z1\nact z2 = "
+
+    def test_bound(self):
+        assert MAX_DEGREE == 2048
+        assert parse_problem(self.HEAD + "z2 + t*z1^2047\n").action.v[1].total_degree() == 2048
+        with pytest.raises(ParseError) as err:
+            parse_problem(self.HEAD + "z2 + t*z1^2048\n")
+        assert str(err.value) == "total degree 2049 exceeds 2048 (line 7)"
+
+    @pytest.mark.parametrize("text", [
+        "field Q\nring z1 z2\n" + LAW + "act z1 = z1\nact z2 = z2 + t*z1^100000\n",
+        "field Q\nring z1 z2\n" + LAW + "act z1 = z1\nact z2 = z2 + t*z1^1500*z1^1500\n",
+        "field Q\nring z\nrelation z^3000 - 1\n",
+        "field Q\nring z\ngroup dim 1 coords t\nmult t = a1 + b1 + a1^3000\n",
+        "field Q\nring z\n" + LAW + "endo t = t^3000\n",
+        "field Q\nring z\n" + LAW + "act z = z\npair 1 g z^3000\n",
+        GM_HEAD + "x^3000\n"],
+        ids=["act", "act-product", "relation", "mult", "endo", "pair", "gmact"])
+    def test_every_problem_line_is_capped(self, text):
+        with pytest.raises(ParseError, match=f"exceeds {MAX_DEGREE}"):
+            parse_problem(text)
+
+    def test_probe_is_capped(self):
+        R = PolyRing(["z1", "z2"], QQ)
+        with pytest.raises(ParseError, match="total degree 3000 exceeds"):
+            parse_rational("1/z1^3000", R)
+
+    def test_weights_are_not_degrees(self):
+        problem = parse_problem(GM_HEAD + "w^100000*x\n")
+        assert problem.action.v_for("x").weights() == [100000]
+
+
+class TestConstantSizeLimit:
+    """A power of a constant over Q is refused before it is computed when its
+    numerator or denominator could exceed MAX_CONSTANT_BITS bits, counted as
+    the exponent times ceil(log2) of the base's largest part."""
+
+    R = PolyRing(["z1", "z2"], QQ)
+
+    def test_bound(self):
+        assert MAX_CONSTANT_BITS == 4096
+        assert parse_polynomial("2^4096", self.R).constant_value() == 2**4096
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("2^4097", self.R, 4, 7)
+        assert str(err.value) == \
+            "power 4097 of a 1-bit constant may exceed 4096 bits (line 4, col 10)"
+
+    @pytest.mark.parametrize("kind,text", [
+        ("poly", "3^3000000"), ("poly", "z1 + (1/3)^3000"), ("rat", "3^-3000"),
+        ("gm", "(2*w)^5000*x"), ("prob", "field Q\nring z1 z2\n" + LAW
+                                 + "act z1 = z1\nact z2 = z2 + 3^3000000*t\n")],
+        ids=["poly", "poly-fraction", "rat", "gm", "prob"])
+    def test_every_context_refuses(self, kind, text):
+        with pytest.raises(ParseError, match="-bit constant may exceed 4096 bits"):
+            parse_in(kind, text)
+
+    def test_powers_of_units_and_over_fp_pass(self):
+        assert parse_polynomial("(-1)^3000001", self.R) == -self.R.one()
+        assert parse_in("polyF2", "3^3000000").is_one()
 
 
 def parse_in(kind, text):

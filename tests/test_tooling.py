@@ -1,6 +1,9 @@
 """The benchmark's tracer rebinds pairkit functions by name; every name it
-lists must still resolve, or `perfbench/run.py --trace 1` breaks."""
+lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
+how the group law's product is wired and how alpha is applied is decided in
+`groups.py` alone."""
 
+import ast
 import importlib
 import importlib.util
 
@@ -50,3 +53,75 @@ def test_benchmark_workloads_build_and_pass(tmp_path, monkeypatch):
             ran += 1
     # 8 + 4 set-up calls, 5 for Nagata n = 6, 7 for vector-2
     assert ran == 24
+
+
+# (module, function) pairs that build a new law from mult_var_names
+LAW_BUILDERS = {("problem.py", "parse_problem"), ("invariants.py", "nagata_build")}
+LAW_PARTS = {"mult", "phi"}
+SUBSTITUTIONS = {"subs_poly", "subs_rational", "substitute"}
+
+
+def _reads_law_part(node, tainted):
+    return any((isinstance(n, ast.Attribute) and n.attr in LAW_PARTS)
+               or (isinstance(n, ast.Name) and n.id in tainted)
+               for n in ast.walk(node))
+
+
+def _bound(target):
+    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def _calls(node, func, tainted, out):
+    """(function name, call, tainted) for every call under node, where the
+    tainted names are those bound by an enclosing loop or comprehension over
+    a `.mult` or `.phi` expression."""
+    if isinstance(node, ast.FunctionDef):
+        func, tainted = node.name, set()
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        tainted = set(tainted)
+        for gen in node.generators:
+            if _reads_law_part(gen.iter, tainted):
+                tainted |= _bound(gen.target)
+    elif isinstance(node, ast.For) and _reads_law_part(node.iter, tainted):
+        _calls(node.iter, func, tainted, out)
+        inner = tainted | _bound(node.target)
+        for child in node.body + node.orelse:
+            _calls(child, func, inner, out)
+        return
+    elif isinstance(node, ast.Call):
+        out.append((func, node, tainted))
+    for child in ast.iter_child_nodes(node):
+        _calls(child, func, tainted, out)
+
+
+def law_wiring_offenders(src_dir):
+    """Calls outside groups.py that wire m or apply alpha by hand: a
+    mult_var_names call outside a law builder, a substitution into a `.mult`
+    or `.phi` polynomial, or a renaming cast of one."""
+    offenders = []
+    for path in sorted(src_dir.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        calls = []
+        _calls(ast.parse(path.read_text(encoding="utf-8")), None, set(), calls)
+        for func, call, tainted in calls:
+            f = call.func
+            where = f"{path.name}:{call.lineno} in {func}"
+            if isinstance(f, ast.Name) and f.id == "mult_var_names" \
+                    and (path.name, func) not in LAW_BUILDERS:
+                offenders.append(f"{where}: mult_var_names")
+            if isinstance(f, ast.Name) and f.id == "substitute" and call.args:
+                receiver = call.args[0]
+            elif isinstance(f, ast.Attribute) and (
+                    f.attr in SUBSTITUTIONS
+                    or (f.attr == "cast" and any(k.arg == "rename" for k in call.keywords))):
+                receiver = f.value
+            else:
+                continue
+            if _reads_law_part(receiver, tainted):
+                offenders.append(f"{where}: {ast.unparse(call)[:60]}")
+    return offenders
+
+
+def test_group_law_and_alpha_are_applied_in_groups_only():
+    assert law_wiring_offenders(ROOT / "src" / "pairkit") == []
