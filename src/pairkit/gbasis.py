@@ -1,16 +1,17 @@
 """Ideals, the division algorithm, Buchberger's algorithm, elimination,
 and combinatorial Krull dimension.
 
-The engine is Buchberger with the normal selection strategy (pop the pair
-with the smallest lcm, ties by pair indices) and Gebauer-Moeller pair
-pruning.  Live pairs sit in a dict (i, j) -> lcm; a heap of (order key of
-the lcm, i, j) orders them, each key computed once when its pair is made.
-Pairs the chain criterion removes leave the dict only and are skipped when
-the heap pops them.  Over Q the main loop runs on primitive integer
-coefficients with fraction-free pseudo-reduction (exact, no modular or
-tracing shortcuts); the final interreduction restores monic coefficients.
-Output bases are reduced, monic, and sorted ascending by leading monomial,
-so identical inputs reproduce bit-identical bases.
+One heap reducer, `_reduce_dict`, does every reduction, in one of two lanes.
+The integer lane is Buchberger's over Q: primitive integer coefficients and
+fraction-free pseudo-reduction; the final interreduction restores monic
+coefficients.  The field lane does exact field operations and never scales:
+Buchberger uses it over F_p, and every division uses it over Q or F_p.
+Buchberger pops the pair with the smallest lcm (ties by pair indices) and
+prunes by Gebauer-Moeller.  Live pairs sit in a dict (i, j) -> lcm; a heap of
+(order key of the lcm, i, j), each key computed once, orders them, and pairs
+the chain criterion removes leave the dict only.  Output bases are reduced,
+monic and sorted ascending by leading monomial, so identical inputs
+reproduce bit-identical bases.
 """
 
 import heapq
@@ -71,50 +72,24 @@ def poly_divmod(f: Polynomial, divisors, order=GREVLEX):
     """Multivariate division: f = sum q_i * d_i + r, no term of r divisible
     by any leading term.  Divisors are scanned in list order (deterministic)."""
     ring = f.ring
-    field = ring.field
-    leads = []
+    rows = []
     for d in divisors:
         if d.ring != ring:
             raise AlgebraError("divisor in a different ring")
         if d.is_zero():
             raise AlgebraError("zero divisor in division algorithm")
-        leads.append(d.leading(order))
-    quotients = [dict() for _ in divisors]
-    remainder = {}
-    work = dict(f.terms)
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        for i, (d_exps, d_coeff) in enumerate(leads):
-            if _mono_divides(d_exps, exps):
-                q_exps = _mono_div(exps, d_exps)
-                q_coeff = field.div(coeff, d_coeff)
-                quotients[i][q_exps] = field.add(
-                    quotients[i].get(q_exps, field.zero()), q_coeff)
-                for t_exps, t_coeff in divisors[i].terms.items():
-                    if t_exps == d_exps:
-                        continue
-                    e = tuple(a + b for a, b in zip(q_exps, t_exps))
-                    s = field.sub(work.get(e, field.zero()), field.mul(q_coeff, t_coeff))
-                    if s:
-                        work[e] = s
-                    else:
-                        work.pop(e, None)
-                break
-        else:
-            remainder[exps] = coeff
+        rows.append((*d.leading(order), d.terms))
+    quotients = [{} for _ in rows]
+    remainder = _reduce_dict(f.terms, rows, order, _FieldArith(ring.field), True,
+                             quotients)
     return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
-
-
-def reduce_full(f: Polynomial, divisors, order=GREVLEX) -> Polynomial:
-    return poly_divmod(f, divisors, order)[1]
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo a reduced basis; zero iff f is in the ideal."""
     if f.ring != basis.ring:
         raise AlgebraError("polynomial and basis in different rings")
-    return reduce_full(f, basis.polys, basis.order)
+    return poly_divmod(f, basis.polys, basis.order)[1]
 
 
 def _coprime(a, b):
@@ -161,9 +136,10 @@ class _Top:
 
 
 class _IntArith:
-    """Primitive-integer lane for Q: fraction-free ops, exact throughout."""
+    """Buchberger's lane for Q: primitive integers, fraction-free, exact."""
 
-    is_modular = False
+    fraction_free = True
+    p = None
 
     @staticmethod
     def from_field(terms):
@@ -174,8 +150,6 @@ class _IntArith:
 
     @staticmethod
     def normalize(d, lead_exps):
-        if not d:
-            return d
         content = 0
         for c in d.values():
             content = gcd(content, c)
@@ -194,59 +168,61 @@ class _IntArith:
         return d_lead // g0, f_lead // g0
 
     @staticmethod
-    def to_field(d, field):
+    def to_field(d):
         return {e: Fraction(c) for e, c in d.items()}
 
 
-class _ModArith:
-    """F_p lane: ordinary modular arithmetic."""
+class _FieldArith:
+    """Field lane: exact field operations over Q or F_p, never scales."""
 
-    is_modular = True
+    fraction_free = False
 
-    def __init__(self, p):
-        self.p = p
+    from_field = to_field = staticmethod(dict)    # coefficients stay field values
 
-    @staticmethod
-    def from_field(terms):
-        return dict(terms)
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
 
     def normalize(self, d, lead_exps):
-        if not d:
-            return d
-        inv = pow(d[lead_exps], -1, self.p)
+        inv = self.field.inv(d[lead_exps])
         if inv == 1:
             return d
-        return {e: c * inv % self.p for e, c in d.items()}
+        return {e: self.field.mul(c, inv) for e, c in d.items()}
 
     def elim_factors(self, f_lead, d_lead):
-        return 1, f_lead * pow(d_lead, -1, self.p) % self.p
-
-    def to_field(self, d, field):
-        return dict(d)
+        # over F_p the quotient is spelled out: it runs at every reduction step
+        p = self.p
+        if p is None:
+            return 1, self.field.div(f_lead, d_lead)
+        return 1, f_lead * pow(d_lead, -1, p) % p
 
 
 def _arith_for(field):
-    return _ModArith(field.p) if field.p is not None else _IntArith()
+    return _FieldArith(field) if field.p is not None else _IntArith()
 
 
-def _reduce_dict(f, divisors, order, arith, full):
-    """Pseudo-reduction of a coefficient dict against (lead exponents, lead
-    coefficient, terms) divisors.
+def _reduce_dict(f, divisors, order, arith, full, quotients=None):
+    """Reduction of a coefficient dict against (lead exponents, lead
+    coefficient, terms) divisors, largest monomial first.
 
-    Returns the remainder up to a positive scalar; with full=False only the
-    leading term is guaranteed irreducible (enough for basis building)."""
+    Returns the remainder, up to a positive scalar in the integer lane; with
+    full=False only the leading term is guaranteed irreducible (enough for
+    basis building).  `quotients`, one dict per divisor (field lane only,
+    where nothing is scaled), receives shift -> factor at each subtraction;
+    the reduced monomial strictly decreases, so each (divisor, shift) pair
+    occurs once."""
     work = dict(f)
     heap = [_Top(order.key(e), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
-    p = arith.p if arith.is_modular else None
+    p = arith.p
     while work and heap:
         top = heapq.heappop(heap)
         exps = top.exps
         if exps not in work:
             continue
         coeff = work[exps]
-        for d_exps, d_lead, d_terms in divisors:
+        for i, (d_exps, d_lead, d_terms) in enumerate(divisors):
             if _mono_divides(d_exps, exps):
                 scale, factor = arith.elim_factors(coeff, d_lead)
                 if scale != 1:
@@ -256,6 +232,8 @@ def _reduce_dict(f, divisors, order, arith, full):
                         for e in remainder:
                             remainder[e] *= scale
                 shift = _mono_div(exps, d_exps)
+                if quotients is not None:
+                    quotients[i][shift] = factor
                 for t_exps, t_coeff in d_terms.items():
                     e = tuple(a + b for a, b in zip(shift, t_exps))
                     c = work.get(e, 0) - factor * t_coeff
@@ -267,7 +245,7 @@ def _reduce_dict(f, divisors, order, arith, full):
                         work[e] = c
                     else:
                         work.pop(e, None)
-                if not arith.is_modular and work:
+                if arith.fraction_free and work:
                     content = 0
                     for c in work.values():
                         content = gcd(content, c)
@@ -304,7 +282,7 @@ def _spoly_dict(f, g, order, arith):
     out = {}
     for e, c in fd.items():
         out[tuple(x + y for x, y in zip(e, uf))] = a * c
-    p = arith.p if arith.is_modular else None
+    p = arith.p
     for e, c in gd.items():
         key = tuple(x + y for x, y in zip(e, ug))
         v = out.get(key, 0) - b * c
@@ -363,7 +341,7 @@ def buchberger(gens, order=GREVLEX):
         others = [basis[k] for k in kept if k != i]
         d = _reduce_dict(basis[i][2], others, order, arith, full=True) if others \
             else basis[i][2]
-        poly = Polynomial(ring, arith.to_field(d, ring.field)).monic(order)
+        poly = Polynomial(ring, arith.to_field(d)).monic(order)
         reduced.append(poly)
     reduced.sort(key=lambda p: order.key(p.leading(order)[0]))
     return reduced

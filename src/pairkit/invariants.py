@@ -13,7 +13,7 @@ from fractions import Fraction
 from .actions import CoAction, validate_action
 from .errors import AlgebraError, InternalCheckError, ValidationError
 from .fields import QQ
-from .gbasis import Ideal, buchberger, eliminate, poly_divmod, reduce_full
+from .gbasis import Ideal, eliminate, groebner, normal_form, poly_divmod
 from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
 from .linalg import ExactMatrix
@@ -125,7 +125,7 @@ def cross_section_ideal(pair: AlphaPair) -> Ideal:
 
 
 def stabilizer_is_trivial(action: CoAction, point) -> bool:
-    basis = buchberger(action.stabilizer_ideal(point).nonzero_gens())
+    basis = groebner(action.stabilizer_ideal(point))
     expected = sorted(p.text() for p in action.law.coords_ring.gens())
     return sorted(p.text() for p in basis) == expected
 
@@ -153,17 +153,14 @@ def cross_section_report(action: CoAction, pair: AlphaPair, points=()) -> Report
 # -- factoring through the kernel ------------------------------------------------
 
 
-def _rewrite_through(polys, generators_of, front_names, ring: PolyRing,
-                     forbidden, what: str):
-    """Normal forms of `polys` against <x - image(x)> under front >> back;
-    residual dependence on `forbidden` raises."""
-    front = [ring.index(n) for n in front_names]
-    order = BlockOrder(front, ring.nvars)
-    basis = buchberger(generators_of, order)
+def _rewrite_through(polys, basis, what: str):
+    """Normal forms of `polys` against a basis of <x - image(x)> under a
+    block order front >> back; residual dependence on the front raises."""
+    front = {basis.ring.names[i] for i in basis.order.front}
     out = []
     for p in polys:
-        reduced = reduce_full(p, basis, order)
-        left = reduced.variables_used() & set(forbidden)
+        reduced = normal_form(p, basis)
+        left = reduced.variables_used() & front
         if left:
             raise ValidationError(
                 f"{what} cannot be rewritten through alpha: residual "
@@ -189,11 +186,13 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     field = ring.field
     u_names = fresh_names("u", law.s, set(ring.names) | set(law.coords))
 
-    # co-action: rewrite v_i over <u_j - alpha_j(Y)> with Y >> (Z, U)
+    # co-action and inversion: rewrite v_i and alpha(inv(Y)) over
+    # <u_j - alpha_j(Y)> with Y >> (Z, U); the generators do not involve Z
     big = PolyRing(ring.names + law.coords + tuple(u_names), field)
     gens = [big.var(u) - a.cast(big) for u, a in zip(u_names, alpha.phi)]
-    v_new = _rewrite_through([v.cast(big) for v in action.v], gens, law.coords,
-                             big, law.coords, "co-action")
+    basis = groebner(Ideal(big, gens),
+                     BlockOrder([big.index(y) for y in law.coords], big.nvars))
+    v_new = _rewrite_through([v.cast(big) for v in action.v], basis, "co-action")
     new_ring_full = PolyRing(ring.names + tuple(u_names), field)
     v_new = [p.cast(new_ring_full) for p in v_new]
 
@@ -207,16 +206,15 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     vars2 = big2.gens()
     A, B, primed = vars2[:s], vars2[s:2 * s], vars2[2 * s:]
     gens2 = [p - img for p, img in zip(primed, alpha.apply(A) + alpha.apply(B))]
-    m_new = _rewrite_through(alpha.apply(law.multiply_tuples(A, B)), gens2, ab_names,
-                             big2, ab_names, "multiplication")
+    basis2 = groebner(Ideal(big2, gens2), BlockOrder(range(2 * s), big2.nvars))
+    m_new = _rewrite_through(alpha.apply(law.multiply_tuples(A, B)), basis2,
+                             "multiplication")
     m_new = [p.cast(law.mult_ring, rename=dict(zip(ap_names + bp_names, ab_names)))
              for p in m_new]
 
-    # induced inversion: rewrite alpha(inv(T)) over <u - alpha(T)>
-    big3 = PolyRing(law.coords + tuple(u_names), field)
-    gens3 = [big3.var(u) - a.cast(big3) for u, a in zip(u_names, alpha.phi)]
-    q_inv = [p.cast(big3) for p in alpha.apply(law.inv)]
-    inv_new = _rewrite_through(q_inv, gens3, law.coords, big3, law.coords, "inversion")
+    # induced inversion: rewrite alpha(inv(Y)) against the co-action's basis
+    inv_new = _rewrite_through([p.cast(big) for p in alpha.apply(law.inv)], basis,
+                               "inversion")
     new_coords_ring = PolyRing(u_names, field)
     inv_new = [p.cast(new_coords_ring) for p in inv_new]
 

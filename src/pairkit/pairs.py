@@ -9,8 +9,8 @@ the g_i/h_i must be algebraically independent.
 
 from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
-from .gbasis import (Ideal, buchberger, eliminate, groebner,
-                     ideal_dimension, normal_form, reduce_full, saturate)
+from .gbasis import (Ideal, eliminate, groebner, ideal_dimension, normal_form,
+                     saturate)
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
 from .linalg import formal_jacobian_rank, jacobian_rank
 from .orders import GREVLEX, BlockOrder
@@ -150,9 +150,8 @@ def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
     big = action.big_ring
     kernel = [p.cast(big) for p in kernel_ideal(alpha.law, alpha).nonzero_gens()]
     front = [big.index(n) for n in alpha.law.coords]
-    order = BlockOrder(front, big.nvars)
-    basis = buchberger(kernel, order)
-    return all(reduce_full(v - big.var(name), basis, order).is_zero()
+    basis = groebner(Ideal(big, kernel), BlockOrder(front, big.nvars))
+    return all(normal_form(v - big.var(name), basis).is_zero()
                for v, name in zip(action.v, action.ring.names))
 
 
@@ -213,7 +212,7 @@ def pedestal_ideal_from_pairs(pairs, which: str = "quasi-principle-only",
     if ring is None:
         raise ValidationError("pedestal ideal of an empty pair list needs an "
                               "explicit ring")
-    return Ideal(ring, buchberger(gens, GREVLEX))
+    return Ideal(ring, groebner(Ideal(ring, gens), GREVLEX).polys)
 
 
 def is_affine_stable(point, pedestal: Ideal) -> bool:

@@ -16,6 +16,19 @@ from .fields import FieldSpec
 from .orders import GREVLEX
 
 
+def _int_text(n: int) -> str:
+    """Decimal text of an int of any size.  str() refuses more digits than
+    Python's int digit limit (4300 by default), so a long int is split at a
+    power of 10 near half its digits."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= 2000:      # at most 603 digits, under any limit
+        return str(n)
+    k = n.bit_length() * 3 // 20    # about half the decimal digits
+    high, low = divmod(n, 10 ** k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
 def fresh_names(base: str, count: int, avoid, numbered=False) -> list:
     """Deterministic fresh variable names: `base` if count==1 and not
     `numbered`, else base1..baseN, doubling the last letter until there is
@@ -342,15 +355,15 @@ class Polynomial:
                 parts.append(f"{self.ring.names[i]}^{e}")
         if field.p is None:
             sign = "-" if coeff < 0 else "+"
-            mag = -coeff if coeff < 0 else coeff
-            body = "*".join(parts) if parts else str(mag)
-            if parts and mag != 1:
-                body = f"{mag}*{body}"
+            mag = abs(coeff)
+            number = _int_text(mag.numerator)
+            if mag.denominator != 1:
+                number += "/" + _int_text(mag.denominator)
         else:
-            sign = "+"
-            body = "*".join(parts) if parts else str(coeff)
-            if parts and coeff != 1:
-                body = f"{coeff}*{body}"
+            sign, number = "+", str(coeff)
+        body = "*".join(parts) if parts else number
+        if parts and number != "1":
+            body = f"{number}*{body}"
         if lead:
             return body if sign == "+" else f"-{body}"
         return f" {sign} {body}"

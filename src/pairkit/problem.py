@@ -19,7 +19,8 @@ from .poly import Polynomial, PolyRing, RationalFunction
 GRAMMAR_VERSION = 1
 
 # a power whose expansion could have more terms than this is refused: the
-# binomial (z1 + z2)^1000 already takes seconds to expand over Q
+# binomial (z1 + z2)^1000 already takes seconds to expand over Q.  A product
+# is refused when its factors' term counts multiply to more than the square
 MAX_POWER_TERMS = 500
 # a problem line or probe of higher total degree in the ring and group
 # variables is refused: validation builds every power of an image up to it.
@@ -113,7 +114,7 @@ class _ExprParser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                value = value * self.unary()
+                value = self.ctx.mul(value, self.unary(), self.line, tok[2])
             elif tok and tok[0] == "op" and tok[1] == "/":
                 if not self.ctx.allows_division:
                     raise ParseError("division is only allowed between integer literals",
@@ -210,6 +211,13 @@ class _Context:
         if name not in self.ring._index:
             raise ParseError(f"undeclared variable {name!r}", line, col)
         return self.lift(self.ring.var(name))
+
+    def mul(self, a, b, line, col):
+        ta, tb = _term_count(a), _term_count(b)
+        if ta * tb > MAX_POWER_TERMS ** 2:
+            raise ParseError(f"product of a {ta}-term and a {tb}-term expression may "
+                             f"exceed {MAX_POWER_TERMS ** 2} terms", line, col)
+        return a * b
 
     def div(self, a, b, line, col):
         if b.is_zero():

@@ -209,8 +209,10 @@ class TestVerbs:
         ("act z2 = z2 + t*z1^1000000", "total degree 1000001 exceeds 2048"),
         ("act z2 = z2 + 3^3000000*t", "power 3000000 of a 2-bit constant"),
         ("relation z1^" + "9" * 5000, "integer literal of 5000 digits"),
-        ("point " + "9" * 5000 + " 1", "integer literal of 5000 digits")],
-        ids=["degree", "constant", "literal", "point"])
+        ("point " + "9" * 5000 + " 1", "integer literal of 5000 digits"),
+        ("act z2 = z2 + (z1 + 1)^29*(z2 + 1)^29*(t + 1)^29*(z1 - 1)^29",
+         "product of a 27000-term and a 30-term expression")],
+        ids=["degree", "constant", "literal", "point", "product"])
     def test_oversized_input_is_refused_quickly(self, tmp_path, line, reason):
         lines = ["field Q", "ring z1 z2", "group dim 1 coords t", "mult t = a1 + b1",
                  "inv t = -t", "act z1 = z1", "act z2 = z2 + t*z1"]
@@ -229,6 +231,26 @@ class TestVerbs:
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("error: ") and reason in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_huge_witness_coefficient_prints_exactly(self, tmp_path):
+        """The compatibility witness has a 5237-digit coefficient, beyond
+        Python's default int digit limit for str()."""
+        bad = tmp_path / "huge-witness.prob"
+        bad.write_text("field Q\nring z1 z2\ngroup dim 1 coords t\nmult t = a1 + b1\n"
+                       "inv t = -t\nact z1 = z1 + t\n"
+                       "act z2 = z2 + 2^4096*3^2000*5^1300*7^1300*11^1000*t^2*z1\n",
+                       encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pairkit", "check-action", str(bad)],
+                              capture_output=True, text=True, timeout=10,
+                              env={"PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 1 and proc.stderr == ""
+        witness = proc.stdout.split("action-compatibility-witness: z2: -")[1]
+        digits = witness.split("*")[0]
+        value = 0
+        for i in range(0, len(digits), 500):
+            value = value * 10**len(digits[i:i + 500]) + int(digits[i:i + 500])
+        assert len(digits) == 5237
+        assert value == 2 * 2**4096 * 3**2000 * 5**1300 * 7**1300 * 11**1000
 
     def test_invariants_on_non_principle_pair(self, capsys):
         code, out = invoke(capsys, "invariants", path("e2.prob"), "--pair", "1")

@@ -5,7 +5,7 @@ import pytest
 
 from pairkit.errors import AlgebraError, ValidationError
 from pairkit.fields import QQ, FieldSpec
-from pairkit.poly import PolyRing, RationalFunction, fresh_names, substitute
+from pairkit.poly import PolyRing, RationalFunction, _int_text, fresh_names, substitute
 
 from oracles import random_polynomial
 
@@ -120,6 +120,42 @@ class TestRender:
     def test_grevlex_descending(self, R):
         z1, z2 = R.gens()
         assert (z2**2 + z1 * z2 + z1).text() == "z1*z2 + z2^2 + z1"
+
+    def test_int_text_is_str_below_the_digit_limit(self):
+        rng = random.Random(5)
+        cases = [0, 1, -1, 10**602, 10**603, 2**2000, 2**2001, -(10**4299)]
+        cases += [rng.randrange(-10**4299, 10**4299) for _ in range(200)]
+        cases += [rng.randrange(10**k) for k in range(1, 4300, 37)]
+        for n in cases:
+            assert _int_text(n) == str(n)
+
+    def test_int_text_is_exact_above_the_digit_limit(self):
+        rng = random.Random(6)
+        for n in [10**5000, 10**5000 - 1, -(7**20000)] + \
+                [rng.randrange(10**4300, 10**12000) for _ in range(20)]:
+            text = _int_text(n)
+            digits = text.lstrip("-")
+            assert digits[0] != "0" and digits.isdigit()
+            assert (text[0] == "-") == (n < 0)
+            assert from_digits(digits) == abs(n)
+
+    def test_huge_coefficients_print_exactly(self, R):
+        z1 = R.var("z1")
+        c = Fraction(3**10000, 2**20000)
+        text = (z1.scale(-c) + R.one()).text()
+        num, den = text.removeprefix("-").removesuffix("*z1 + 1").split("/")
+        assert text.startswith("-")
+        assert (from_digits(num), from_digits(den)) == (3**10000, 2**20000)
+
+
+def from_digits(digits: str) -> int:
+    """The int a decimal digit string names, read in chunks short enough
+    for int()."""
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
 
 
 class TestRationalFunction:

@@ -211,6 +211,28 @@ class TestPowerSizeLimit:
         assert problem.action.v_for("x").weights() == [-100000]
 
 
+class TestProductSizeLimit:
+    """A product is refused before it is expanded when its factors' term
+    counts multiply to more than MAX_POWER_TERMS ** 2, so two factors each at
+    the power cap still pass."""
+
+    # over F_p the 250000 coefficient products take a quarter of the time
+    R = PolyRing(["z1", "z2"], FieldSpec.prime(2**31 - 1))
+
+    @staticmethod
+    def terms(name, count):
+        return "(" + " + ".join(f"{name}^{i}" for i in range(count)) + ")"
+
+    def test_bound(self):
+        at_cap = self.terms("z1", MAX_POWER_TERMS)
+        square = parse_polynomial(at_cap + "*" + at_cap, self.R)
+        assert len(square.terms) == 2 * MAX_POWER_TERMS - 1
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(at_cap + "*" + self.terms("z2", 501), self.R, 4, 7)
+        assert str(err.value) == ("product of a 500-term and a 501-term expression "
+                                  f"may exceed 250000 terms (line 4, col {len(at_cap) + 8})")
+
+
 GM_HEAD = "field Q\nring x y\ngmact y = y\ngmact x = "
 GM_F2_HEAD = "field Fp 2\nring x y\ngmact y = y\ngmact x = "
 NINES = "9" * 5000

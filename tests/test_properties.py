@@ -2,9 +2,11 @@
 hypothesis is absent).
 
 Substitution is a ring homomorphism; every substitution route agrees with
-plain evaluation at random points; and the canonical text of a polynomial,
+plain evaluation at random points; the canonical text of a polynomial,
 a rational function and a Laurent co-action image parses back to the same
-value.
+value; and division in grevlex, lex and a block order returns quotients and
+a remainder that reassemble the dividend, with normal forms constant on the
+cosets of an ideal.
 """
 
 from fractions import Fraction
@@ -17,6 +19,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from pairkit.actions import GmCoAction, LaurentPoly  # noqa: E402
 from pairkit.fields import QQ, FieldSpec  # noqa: E402
+from pairkit.gbasis import Ideal, groebner, normal_form, poly_divmod  # noqa: E402
+from pairkit.orders import GREVLEX, LEX, BlockOrder  # noqa: E402
 from pairkit.poly import Polynomial, PolyRing, RationalFunction, substitute  # noqa: E402
 from pairkit.problem import parse_polynomial, parse_problem, parse_rational  # noqa: E402
 
@@ -213,3 +217,37 @@ def test_laurent_text_parses_back(field, data):
     head = "field Q" if field.p is None else f"field Fp {field.p}"
     problem = parse_problem(f"{head}\nring x y\ngmact x = {lp.text()}\ngmact y = y\n")
     assert problem.action.v_for("x") == lp
+
+
+orders = st.sampled_from([GREVLEX, LEX, BlockOrder([0], len(SOURCE))])
+
+
+@property_settings
+@given(field=fields, order=orders, data=st.data())
+def test_poly_divmod_reassembles_the_dividend(field, order, data):
+    ring = PolyRing(SOURCE, field)
+    f = data.draw(polynomials(ring, max_terms=8))
+    divisors = data.draw(st.lists(nonzero(polynomials(ring, max_exp=2)),
+                                  min_size=1, max_size=3))
+    quotients, remainder = poly_divmod(f, divisors, order)
+    total = remainder
+    for q, d in zip(quotients, divisors):
+        total = total + q * d
+    assert total == f
+    leads = [d.leading(order)[0] for d in divisors]
+    for exps in remainder.terms:
+        assert not any(all(a <= b for a, b in zip(lead, exps)) for lead in leads)
+
+
+@property_settings
+@given(field=fields, order=orders, data=st.data())
+def test_normal_form_is_constant_on_cosets(field, order, data):
+    ring = PolyRing(SOURCE, field)
+    gens = data.draw(st.lists(nonzero(polynomials(ring, max_exp=1, max_terms=3)),
+                              min_size=1, max_size=3))
+    basis = groebner(Ideal(ring, gens), order)
+    f = data.draw(polynomials(ring))
+    shifted = f
+    for g in basis:
+        shifted = shifted + data.draw(polynomials(ring, max_exp=2, max_terms=3)) * g
+    assert normal_form(shifted, basis) == normal_form(f, basis)

@@ -1,7 +1,7 @@
 """The benchmark's tracer rebinds pairkit functions by name; every name it
 lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
-`groups.py` alone."""
+`groups.py` alone, and only `gbasis.py` runs Buchberger or the reducer."""
 
 import ast
 import importlib
@@ -125,3 +125,26 @@ def law_wiring_offenders(src_dir):
 
 def test_group_law_and_alpha_are_applied_in_groups_only():
     assert law_wiring_offenders(ROOT / "src" / "pairkit") == []
+
+
+ENGINE = {"buchberger", "_reduce_dict"}
+
+
+def engine_offenders(src_dir):
+    """Calls of Buchberger or the heap reducer outside gbasis.py; everything
+    else goes through groebner, eliminate, normal_form and poly_divmod."""
+    offenders = []
+    for path in sorted(src_dir.glob("*.py")):
+        if path.name == "gbasis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ENGINE:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    return offenders
+
+
+def test_only_gbasis_runs_buchberger_or_reduces():
+    assert engine_offenders(ROOT / "src" / "pairkit") == []
