@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-Exit codes: 0 = all checks passed / computation succeeded; 1 = a mathematical
-check failed (the report names it, with a witness); 2 = parse or validation
-error.  Reports are line-oriented `key: value` text; --json is additive.
+Every verb returns its Report, and `run` alone writes it and picks the exit
+code: 0 = all checks passed / computation succeeded; 1 = a mathematical check
+failed (the report names it, with a witness); 2 = parse or validation error,
+with no report.  Reports are line-oriented `key: value` text; --json is
+additive.
 """
 
 import argparse
@@ -22,7 +24,8 @@ from .linalg import formal_jacobian_rank
 from .pairs import (check_alpha_pair, is_affine_stable, pair_from_problem,
                     pedestal_ideal_from_pairs, build_fppf_cover,
                     transcendence_degree)
-from .problem import parse_problem, parse_polynomial, parse_rational, render_problem
+from .problem import (check_power_terms, parse_problem, parse_polynomial, parse_rational,
+                      render_problem)
 from .report import Report
 
 
@@ -40,12 +43,11 @@ def _load(path: str):
 
 
 def _emit(problem, path: str, report: Report):
-    Path(path).write_text(render_problem(problem), encoding="utf-8")
+    try:
+        Path(path).write_text(render_problem(problem), encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}")
     report.info("emitted", path)
-
-
-def _print(report: Report, as_json: bool):
-    sys.stdout.write(report.to_json() if as_json else report.text())
 
 
 def _require_unipotent(problem):
@@ -54,36 +56,61 @@ def _require_unipotent(problem):
     return problem
 
 
+def _validated(problem, report: Report) -> Report:
+    """`report` with the group-law and action validation merged in."""
+    report.merge(validate_group_law(problem.group), prefix="law-")
+    report.merge(validate_action(problem.action), prefix="action-")
+    return report
+
+
 def _validated_pair_report(args):
     """Group-law + action validation merged with the check of pair
     `args.pair`, each run once.
 
-    Returns (problem, report, pair), where pair is the checked pair.  When a
-    check failed the report has already been printed and pair is None.
+    Returns (problem, report, pair), where pair is the checked pair, or None
+    when a check failed.
     """
     problem = _require_unipotent(_load(args.file))
     report = Report("pair-check")
     report.info("pair", args.pair)
-    report.merge(validate_group_law(problem.group), prefix="law-")
-    report.merge(validate_action(problem.action), prefix="action-")
     pair = None
-    if report.passed:
+    if _validated(problem, report).passed:
         pair = pair_from_problem(problem, args.pair)
         report.merge(check_alpha_pair(problem.action, pair))
-    if not report.passed:
-        _print(report, args.json)
-        pair = None
-    return problem, report, pair
+    return problem, report, pair if report.passed else None
 
 
-def cmd_check_group(args) -> int:
+def _pedestal_report(args, title: str, which: str, needs_points=False):
+    """Validate the law and the action, then verify every pair of the problem
+    and build its pedestal ideal from them.
+
+    Returns (problem, report, ideal), where ideal is None when a check failed.
+    """
     problem = _require_unipotent(_load(args.file))
-    report = validate_group_law(problem.group)
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    if not problem.pairs:
+        raise ValidationError("the problem has no pairs")
+    if needs_points and not problem.points:
+        raise ValidationError("the problem has no points")
+    validation = _validated(problem, Report(title))
+    if not validation.passed:
+        return problem, validation, None
+    report, pairs = Report(title), []
+    for idx in sorted(problem.pairs):
+        pairs.append(pair_from_problem(problem, idx))
+        pair_report = check_alpha_pair(problem.action, pairs[-1])
+        report.check(f"pair{idx}-verified", pair_report.passed,
+                     ", ".join(pair_report.failures) or None)
+    if not report.passed:
+        return problem, report, None
+    return problem, report, pedestal_ideal_from_pairs(pairs, which)
 
 
-def cmd_check_endo(args) -> int:
+def cmd_check_group(args) -> Report:
+    problem = _require_unipotent(_load(args.file))
+    return validate_group_law(problem.group)
+
+
+def cmd_check_endo(args) -> Report:
     problem = _require_unipotent(_load(args.file))
     if problem.endo is None:
         raise ValidationError("the problem has no endo section")
@@ -92,31 +119,23 @@ def cmd_check_endo(args) -> int:
         report.info("surjective",
                     "true" if is_surjective(problem.group, problem.endo) else "false")
         report.info("note", SURJECTIVITY_NOTE)
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_check_action(args) -> int:
+def cmd_check_action(args) -> Report:
     problem = _load(args.file)
     if problem.is_gm:
-        report = validate_gm_action(problem.action)
-    else:
-        report = validate_group_law(problem.group)
-        action_report = validate_action(problem.action)
-        report.merge(action_report, prefix="action-")
-    _print(report, args.json)
-    return 0 if report.passed else 1
+        return validate_gm_action(problem.action)
+    report = validate_group_law(problem.group)
+    report.merge(validate_action(problem.action), prefix="action-")
+    return report
 
 
-def cmd_check_pair(args) -> int:
-    _, report, pair = _validated_pair_report(args)
-    if pair is None:
-        return 1
-    _print(report, args.json)
-    return 0
+def cmd_check_pair(args) -> Report:
+    return _validated_pair_report(args)[1]
 
 
-def cmd_trdeg(args) -> int:
+def cmd_trdeg(args) -> Report:
     problem = _require_unipotent(_load(args.file))
     pair = pair_from_problem(problem, args.pair)
     report = Report("trdeg")
@@ -132,20 +151,18 @@ def cmd_trdeg(args) -> int:
                     "elimination is authoritative")
     else:
         report.info("jacobian-rank", degree)
-    _print(report, args.json)
-    return 0
+    return report
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> Report:
     problem, report, pair = _validated_pair_report(args)
     if pair is None:
-        return 1
+        return report
     if not pair.principle:
         report.info("hint", "pair is not principle; run `factor` first for a "
                     "quasi-principle pair")
         report.check("principle-required", False)
-        _print(report, args.json)
-        return 1
+        return report
     basis = dixmier_generators(problem.action, pair)
     for name, fi, num, e in zip(problem.ring.names, basis.f,
                                 basis.numerators, basis.powers):
@@ -161,11 +178,10 @@ def cmd_invariants(args) -> int:
         gens = [g.text() for g in presentation.gens] or ["0"]
         for i, g in enumerate(gens, start=1):
             report.info(f"relation[{i}]", g)
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> Report:
     problem = _require_unipotent(_load(args.file))
     if problem.endo is None:
         raise ValidationError("factor requires an endo section (alpha)")
@@ -175,73 +191,44 @@ def cmd_factor(args) -> int:
     induced = induced_problem(problem, new_action)
     if args.emit:
         _emit(induced, args.emit, report)
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_fppf(args) -> int:
+def cmd_fppf(args) -> Report:
     problem, report, pair = _validated_pair_report(args)
     if pair is None:
-        return 1
+        return report
     cover, cover_report = build_fppf_cover(problem.action, pair)
     report.merge(cover_report)
     if args.emit:
         _emit(cover, args.emit, report)
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_cross_section(args) -> int:
+def cmd_cross_section(args) -> Report:
     problem, report, pair = _validated_pair_report(args)
-    if pair is None:
-        return 1
-    report.merge(cross_section_report(problem.action, pair, problem.points))
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    if pair is not None:
+        report.merge(cross_section_report(problem.action, pair, problem.points))
+    return report
 
 
-def _verified_pairs(problem, report: Report):
-    pairs = []
-    for idx in sorted(problem.pairs):
-        pair = pair_from_problem(problem, idx)
-        pair_report = check_alpha_pair(problem.action, pair)
-        report.check(f"pair{idx}-verified", pair_report.passed,
-                     ", ".join(pair_report.failures) or None)
-        pairs.append(pair)
-    return pairs
-
-
-def cmd_pedestal(args) -> int:
-    problem = _require_unipotent(_load(args.file))
-    if not problem.pairs:
-        raise ValidationError("the problem has no pairs")
-    report = Report("pedestal")
-    pairs = _verified_pairs(problem, report)
-    if not report.passed:
-        _print(report, args.json)
-        return 1
-    ideal = pedestal_ideal_from_pairs(pairs, args.which)
+def cmd_pedestal(args) -> Report:
+    _, report, ideal = _pedestal_report(args, "pedestal", args.which)
+    if ideal is None:
+        return report
     report.info("selector", args.which)
     gens = [g.text() for g in ideal.gens] or ["0"]
     for i, g in enumerate(gens, start=1):
         report.info(f"generator{i}", g)
     report.info("note", "relative to the supplied pairs (a lower bound)")
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_stable(args) -> int:
-    problem = _require_unipotent(_load(args.file))
-    if not problem.pairs:
-        raise ValidationError("the problem has no pairs")
-    if not problem.points:
-        raise ValidationError("the problem has no points")
-    report = Report("affine-stability")
-    pairs = _verified_pairs(problem, report)
-    if not report.passed:
-        _print(report, args.json)
-        return 1
-    ideal = pedestal_ideal_from_pairs(pairs, "quasi-principle-only")
+def cmd_stable(args) -> Report:
+    problem, report, ideal = _pedestal_report(args, "affine-stability",
+                                              "quasi-principle-only", needs_points=True)
+    if ideal is None:
+        return report
     gens = [g.text() for g in ideal.gens] or ["0"]
     report.info("pedestal", ", ".join(gens))
     for pt in problem.points:
@@ -250,11 +237,10 @@ def cmd_stable(args) -> int:
                     "stable" if is_affine_stable(pt, ideal) else "not-stable")
     report.info("note", "stability is relative to the supplied pairs "
                 "(a lower bound for the pedestal ideal)")
-    _print(report, args.json)
-    return 0
+    return report
 
 
-def cmd_semi_invariant(args) -> int:
+def cmd_semi_invariant(args) -> Report:
     problem = _load(args.file)
     if not problem.is_gm:
         raise ValidationError("semi-invariant requires a gmact problem")
@@ -262,6 +248,7 @@ def cmd_semi_invariant(args) -> int:
         raise ValidationError("e must be non-negative")
     g = parse_polynomial(args.g, problem.ring)
     h = parse_polynomial(args.h, problem.ring)
+    check_power_terms(len(h.terms), args.e)
     report = Report("semi-invariant")
     gm_report = validate_gm_action(problem.action)
     report.merge(gm_report, prefix="action-")
@@ -270,8 +257,7 @@ def cmd_semi_invariant(args) -> int:
         report.info("weight", args.q)
         report.check("semi-invariant",
                      is_semi_invariant(problem.action, g, h, args.e, args.q))
-    _print(report, args.json)
-    return 0 if report.passed else 1
+    return report
 
 
 def _read_points(path: str, r: int):
@@ -292,7 +278,7 @@ def _read_points(path: str, r: int):
     return rows
 
 
-def cmd_nagata(args) -> int:
+def cmd_nagata(args) -> Report:
     points = _read_points(args.points, args.r)
     spec = NagataSpec(args.n, args.r, points)
     problem = nagata_build(spec)
@@ -312,18 +298,16 @@ def cmd_nagata(args) -> int:
                 "true" if mukai_predicate(args.n, args.r) else "false")
     if args.emit:
         _emit(problem, args.emit, report)
-    _print(report, args.json)
-    return 0
+    return report
 
 
-def cmd_mukai(args) -> int:
+def cmd_mukai(args) -> Report:
     report = Report("mukai")
     report.info("n", args.n)
     report.info("r", args.r)
     report.info("finitely-generated",
                 "true" if mukai_predicate(args.n, args.r) else "false")
-    _print(report, args.json)
-    return 0
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,79 +316,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact pair-theoretic toolkit for unipotent group actions")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, *arguments, file=True, pair=False, emit=None):
+        """A verb taking `--json`, the problem `file`, `--pair` when `pair`
+        and `--emit` when `emit` names what it writes; each of `arguments`
+        is a (name, options) pair declared before `--emit`."""
+        p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        return p
-
-    for name, handler, needs_pair in [
-            ("check-group", cmd_check_group, False),
-            ("check-endo", cmd_check_endo, False),
-            ("check-action", cmd_check_action, False),
-            ("check-pair", cmd_check_pair, True),
-            ("trdeg", cmd_trdeg, True),
-            ("cross-section", cmd_cross_section, True)]:
-        p = add(name, handler)
-        p.add_argument("file")
-        if needs_pair:
+        if file:
+            p.add_argument("file")
+        if pair:
             p.add_argument("--pair", type=int, required=True)
+        for argument, options in arguments:
+            p.add_argument(argument, **options)
+        if emit:
+            p.add_argument("--emit", help=f"write the {emit} problem file here")
 
-    p = add("invariants", cmd_invariants)
-    p.add_argument("file")
-    p.add_argument("--pair", type=int, required=True)
-    p.add_argument("--probe", action="append", default=[],
-                   help="invariant to verify against the generators (repeatable)")
-    p.add_argument("--relations", action="store_true",
-                   help="also print a finite presentation of the generators")
-
-    p = add("factor", cmd_factor)
-    p.add_argument("file")
-    p.add_argument("--emit", help="write the induced problem file here")
-
-    p = add("fppf", cmd_fppf)
-    p.add_argument("file")
-    p.add_argument("--pair", type=int, required=True)
-    p.add_argument("--emit", help="write the cover problem file here")
-
-    p = add("pedestal", cmd_pedestal)
-    p.add_argument("file")
-    p.add_argument("--which", choices=["quasi-principle-only", "all"],
-                   default="quasi-principle-only")
-
-    p = add("stable", cmd_stable)
-    p.add_argument("file")
-
-    p = add("semi-invariant", cmd_semi_invariant)
-    p.add_argument("file")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add("nagata", cmd_nagata)
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--points", required=True,
-                   help="file with n rows of r rationals")
-    p.add_argument("--emit", help="write the generated problem file here")
-
-    p = add("mukai", cmd_mukai)
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-
+    add("check-group", cmd_check_group)
+    add("check-endo", cmd_check_endo)
+    add("check-action", cmd_check_action)
+    add("check-pair", cmd_check_pair, pair=True)
+    add("trdeg", cmd_trdeg, pair=True)
+    add("cross-section", cmd_cross_section, pair=True)
+    add("invariants", cmd_invariants,
+        ("--probe", dict(action="append", default=[],
+                         help="invariant to verify against the generators (repeatable)")),
+        ("--relations", dict(action="store_true",
+                             help="also print a finite presentation of the generators")),
+        pair=True)
+    add("factor", cmd_factor, emit="induced")
+    add("fppf", cmd_fppf, pair=True, emit="cover")
+    add("pedestal", cmd_pedestal,
+        ("--which", dict(choices=["quasi-principle-only", "all"],
+                         default="quasi-principle-only")))
+    add("stable", cmd_stable)
+    add("semi-invariant", cmd_semi_invariant,
+        ("--g", dict(required=True)), ("--h", dict(required=True)),
+        ("--e", dict(type=int, required=True)), ("--q", dict(type=int, required=True)))
+    add("nagata", cmd_nagata, ("n", dict(type=int)), ("r", dict(type=int)),
+        ("--points", dict(required=True, help="file with n rows of r rationals")),
+        file=False, emit="generated")
+    add("mukai", cmd_mukai, ("n", dict(type=int)), ("r", dict(type=int)), file=False)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)
     except PairkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stdout.write(report.to_json() if args.json else report.text())
+    return 0 if report.passed else 1
 
 
 def main():

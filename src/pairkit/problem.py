@@ -44,6 +44,14 @@ def _int(digits: str, line: int, col=None) -> int:
     return int(digits)
 
 
+def check_power_terms(t: int, n: int, line=None, col=None):
+    """Refuse the power n of a t-term expression when its expansion could
+    have more than MAX_POWER_TERMS terms."""
+    if t > 1 and comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
+        raise ParseError(f"power {n} of a {t}-term expression may exceed "
+                         f"{MAX_POWER_TERMS} terms", line, col)
+
+
 def _tokenize(text: str, line: int, col0: int):
     tokens = []
     pos = 0
@@ -230,10 +238,7 @@ class _Context:
                              line, col)
         if n < 0 and self.allows_division and a.is_zero():
             raise ParseError("negative power of zero", line, col)
-        t = _term_count(a)
-        if t > 1 and comb(abs(n) + t - 1, t - 1) > MAX_POWER_TERMS:
-            raise ParseError(f"power {n} of a {t}-term expression may exceed "
-                             f"{MAX_POWER_TERMS} terms", line, col)
+        check_power_terms(_term_count(a), n, line, col)
         polys = _polys(a)
         if self.ring.field.p is None and all(p.is_constant() for p in polys):
             # ceil(log2) of |numerator| and denominator: powers of 1 cost nothing

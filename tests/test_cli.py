@@ -153,6 +153,36 @@ class TestVerbs:
         code, out = invoke(capsys, "pedestal", path("e1.prob"))
         assert code == 1 and "pair2-verified: FAIL" in out
 
+    @pytest.mark.parametrize("verb", ["pedestal", "stable"])
+    def test_pedestal_and_stable_validate_the_action(self, verb, tmp_path, capsys):
+        """z2 + t^2 breaks compatibility with the law, which the pair
+        identity of z1/1 alone does not see."""
+        bad = tmp_path / "bad_action_pair.prob"
+        bad.write_text("field Q\nring z1 z2\ngroup dim 1 coords t\nmult t = a1 + b1\n"
+                       "inv t = -t\nact z1 = z1 + t\nact z2 = z2 + t^2\n"
+                       "pair 1 g z1\npair 1 h 1\npoint 0 0\n", encoding="utf-8")
+        code, out = invoke(capsys, verb, str(bad))
+        assert code == 1 and "action-compatibility: FAIL" in out
+        _, pair_check = invoke(capsys, "check-pair", str(bad), "--pair", "1")
+
+        def validation(report):
+            return [line for line in report.splitlines()
+                    if line.startswith(("law-", "action-"))]
+        assert validation(out) == validation(pair_check)
+
+    @pytest.mark.parametrize("verb", ["factor", "fppf", "nagata"])
+    def test_emit_to_unwritable_path_is_exit_2(self, verb, tmp_path, capsys):
+        points = tmp_path / "pts.txt"
+        points.write_text("1\n2\n", encoding="utf-8")
+        argv = {"factor": ["factor", path("e2.prob")],
+                "fppf": ["fppf", path("e2.prob"), "--pair", "1"],
+                "nagata": ["nagata", "2", "1", "--points", str(points)]}[verb]
+        target = tmp_path / "missing" / "out.prob"
+        code = run([*argv, "--emit", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out and not target.exists()
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+
     def test_semi_invariant(self, capsys):
         code, out = invoke(capsys, "semi-invariant", path("gm_diag.prob"),
                            "--g", "x", "--h", "y", "--e", "0", "--q", "1")
@@ -160,6 +190,27 @@ class TestVerbs:
         code, out = invoke(capsys, "semi-invariant", path("gm_diag.prob"),
                            "--g", "x^2", "--h", "y", "--e", "1", "--q", "2")
         assert code == 1 and "semi-invariant: FAIL" in out
+
+    def test_semi_invariant_power_limit(self, capsys):
+        """(x + y)^e has e + 1 terms, so e = 499 is the largest power built."""
+        argv = ["semi-invariant", path("gm_diag.prob"), "--g", "x", "--h", "x + y"]
+        code, out = invoke(capsys, *argv, "--e", "499", "--q", "-498")
+        assert code == 0 and "semi-invariant: pass" in out
+        code = run([*argv, "--e", "500", "--q", "-499"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == ("error: power 500 of a 2-term expression may exceed "
+                                "500 terms\n")
+
+    def test_huge_semi_invariant_power_is_refused_quickly(self):
+        proc = subprocess.run([sys.executable, "-m", "pairkit", "semi-invariant",
+                               path("gm_diag.prob"), "--g", "x", "--h", "x + y",
+                               "--e", "1000000", "--q", "0"],
+                              capture_output=True, text=True, timeout=10,
+                              env={"PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr == ("error: power 1000000 of a 2-term expression may "
+                               "exceed 500 terms\n")
 
     def test_nagata(self, tmp_path, capsys):
         points = tmp_path / "pts.txt"

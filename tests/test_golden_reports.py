@@ -111,15 +111,15 @@ def run_argv(argv):
     return {"exit": code, "stdout": out.getvalue()}
 
 
-def run_call(name, verb):
-    return run_argv([verb[0], str(PROBLEMS / name), *verb[1:]])
+def run_call(name, verb, *flags):
+    return run_argv([verb[0], str(PROBLEMS / name), *verb[1:], *flags])
 
 
-def run_failing(directory: Path, name):
+def run_failing(directory: Path, name, *flags):
     verb, text = FAILING[name]
     path = directory / f"{name}.prob"
     path.write_text(text, encoding="utf-8")
-    return run_argv([verb, str(path)])
+    return run_argv([verb, str(path), *flags])
 
 
 def collect():
@@ -161,6 +161,45 @@ def test_failing_validator_matches_golden(golden_failures, tmp_path, name):
     outcome = run_failing(tmp_path, name)
     assert outcome["exit"] == 1
     assert outcome == golden_failures[name]
+
+
+def contract_exit(stdout):
+    """The exit code that the contract gives a call with this stdout."""
+    if not stdout:
+        return 2
+    return {"status: ok": 0, "status: check-failed": 1}[stdout.splitlines()[-1]]
+
+
+def test_exit_code_follows_the_status_line(golden, golden_failures):
+    outcomes = {**golden, **golden_failures}
+    expected = {key: contract_exit(o["stdout"]) for key, o in outcomes.items()}
+    assert {key: o["exit"] for key, o in outcomes.items()} == expected
+    assert set(expected.values()) == {0, 1, 2}
+
+
+def assert_json_agrees(text_outcome, json_outcome):
+    """The --json call has the text call's exit code, its keys in order of
+    first occurrence, and at every text line the JSON value of its key."""
+    assert json_outcome["exit"] == text_outcome["exit"]
+    if not text_outcome["stdout"]:
+        assert json_outcome["stdout"] == ""
+        return
+    items = [line.split(": ", 1) for line in text_outcome["stdout"].splitlines()]
+    data = json.loads(json_outcome["stdout"])
+    assert list(data) == list(dict.fromkeys(key for key, _ in items))
+    for key, value in items:
+        assert value == (data[key] if isinstance(data[key], str) else str(data[key])), key
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("verb", VERBS, ids=lambda v: v[0])
+def test_json_report_agrees_with_text(golden, name, verb):
+    assert_json_agrees(golden[call_key(name, verb)], run_call(name, verb, "--json"))
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_json_report_agrees_with_text(golden_failures, tmp_path, name):
+    assert_json_agrees(golden_failures[name], run_failing(tmp_path, name, "--json"))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """The benchmark's tracer rebinds pairkit functions by name; every name it
 lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
-`groups.py` alone, and only `gbasis.py` runs Buchberger or the reducer."""
+`groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, and
+only `cli.run` writes to stdout."""
 
 import ast
 import importlib
@@ -148,3 +149,19 @@ def engine_offenders(src_dir):
 
 def test_only_gbasis_runs_buchberger_or_reduces():
     assert engine_offenders(ROOT / "src" / "pairkit") == []
+
+
+def stdout_writers(src_dir):
+    """The functions that call `print` or `sys.stdout.write`."""
+    writers = []
+    for path in sorted(src_dir.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                writers.extend(f"{path.name}:{func.name}" for node in ast.walk(func)
+                               if isinstance(node, ast.Call)
+                               and ast.unparse(node.func) in ("print", "sys.stdout.write"))
+    return writers
+
+
+def test_only_cli_run_writes_a_report():
+    assert stdout_writers(ROOT / "src" / "pairkit") == ["cli.py:run"]
