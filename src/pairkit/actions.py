@@ -8,7 +8,7 @@ polynomial per space variable, as a weight -> polynomial map.
 from .errors import AlgebraError, ValidationError
 from .gbasis import Ideal
 from .groups import GroupLaw
-from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
+from .poly import Polynomial, PolyRing, RationalFunction, fresh_names, power
 from .report import Report
 
 
@@ -160,13 +160,7 @@ class LaurentPoly:
             ((d, p),) = self.comps.items()
             c = self.ring.field.inv(p.constant_value())
             base, n = LaurentPoly(self.ring, {-d: self.ring.const(c)}), -n
-        result = LaurentPoly.from_poly(self.ring.one())
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(base, n, LaurentPoly.from_poly(self.ring.one()))
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.ring == other.ring \
@@ -270,12 +264,13 @@ def gm_weight_components(action: GmCoAction, f) -> dict:
 
 def is_semi_invariant(action: GmCoAction, g: Polynomial, h: Polynomial,
                       e: int, q: int) -> bool:
-    """Whether g/h^e scales exactly by w^q under the torus action."""
+    """Whether g/h^e scales exactly by w^q under the torus action, that is
+    pushforward(g)*h^e = g*pushforward(h)^e*w^q; both e-th powers are taken
+    by squaring, so h^e is never pushed forward."""
     if h.is_zero():
         raise ValidationError("h must be nonzero")
     if e < 0:
         raise ValidationError("e must be non-negative")
-    he = h ** e
-    lhs = action.pushforward_poly(g) * LaurentPoly.from_poly(he)
-    rhs = (LaurentPoly.from_poly(g) * action.pushforward_poly(he)).shift(q)
+    lhs = action.pushforward_poly(g) * LaurentPoly.from_poly(h) ** e
+    rhs = (LaurentPoly.from_poly(g) * action.pushforward_poly(h) ** e).shift(q)
     return lhs == rhs

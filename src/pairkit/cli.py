@@ -24,8 +24,8 @@ from .linalg import formal_jacobian_rank
 from .pairs import (check_alpha_pair, is_affine_stable, pair_from_problem,
                     pedestal_ideal_from_pairs, build_fppf_cover,
                     transcendence_degree)
-from .problem import (check_power_terms, parse_problem, parse_polynomial, parse_rational,
-                      render_problem)
+from .problem import (bounded, check_constant_bits, check_power_terms, parse_problem,
+                      parse_polynomial, parse_rational, render_problem)
 from .report import Report
 
 
@@ -246,9 +246,11 @@ def cmd_semi_invariant(args) -> Report:
         raise ValidationError("semi-invariant requires a gmact problem")
     if args.e < 0:
         raise ValidationError("e must be non-negative")
-    g = parse_polynomial(args.g, problem.ring)
-    h = parse_polynomial(args.h, problem.ring)
+    g = bounded(parse_polynomial(args.g, problem.ring), 1)
+    h = bounded(parse_polynomial(args.h, problem.ring), 1)
     check_power_terms(len(h.terms), args.e)
+    if problem.field.p is None:
+        check_constant_bits([h], args.e)
     report = Report("semi-invariant")
     gm_report = validate_gm_action(problem.action)
     report.merge(gm_report, prefix="action-")

@@ -29,33 +29,27 @@ def is_prime(n: int) -> bool:
 class FieldSpec:
     """A coefficient field: either Q or F_p for a prime p.
 
-    Instances are immutable and compare by kind and modulus.
+    Instances are immutable and compare by modulus (None for Q).
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, kind: str, p: int | None = None):
-        if kind not in ("rationals", "prime-field"):
-            raise ValidationError(f"unknown field kind {kind!r}")
-        if kind == "prime-field":
-            if p is not None and p >= _PRIME_LIMIT:
-                raise ValidationError(f"modulus too large: {p}")
-            if p is None or not is_prime(p):
-                raise ValidationError(f"modulus not prime: {p!r}")
-        else:
-            p = None
-        self.kind = kind
+    def __init__(self, p: int | None = None):
         self.p = p
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rationals() -> "FieldSpec":
-        return FieldSpec("rationals")
+        return FieldSpec()
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        return FieldSpec("prime-field", p)
+        if p is not None and p >= _PRIME_LIMIT:
+            raise ValidationError(f"modulus too large: {p}")
+        if p is None or not is_prime(p):
+            raise ValidationError(f"modulus not prime: {p!r}")
+        return FieldSpec(p)
 
     # -- arithmetic on coefficient values ------------------------------------
 
@@ -103,15 +97,11 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def scale_int(self, a, n: int):
-        """a * n for an integer n (used by formal derivatives)."""
-        return self.mul(a, self.from_int(n))
-
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, FieldSpec) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
         return "Q" if self.p is None else f"F{self.p}"

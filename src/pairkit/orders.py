@@ -23,15 +23,6 @@ class MonomialOrder:
     def key(self, exps):
         raise NotImplementedError
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.describe() == other.describe()
-
-    def __hash__(self):
-        return hash(self.describe())
-
-    def describe(self):
-        return (self.kind,)
-
     def __repr__(self):
         return self.kind
 
@@ -72,9 +63,6 @@ class BlockOrder(MonomialOrder):
         front = tuple(exps[i] for i in self.front)
         back = tuple(exps[i] for i in self._back)
         return (_grevlex_key(front), _grevlex_key(back))
-
-    def describe(self):
-        return (self.kind, self.front, self.nvars)
 
 
 GREVLEX = Grevlex()

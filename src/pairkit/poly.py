@@ -1,7 +1,10 @@
 """Sparse multivariate polynomials and rational functions over Q or F_p.
 
 A polynomial is a dict from exponent tuples to nonzero coefficients, tied to
-a ring (ordered variable names + field).  Printing is canonical: grevlex
+a ring (ordered variable names + field).  Coefficients are exact Python
+numbers, `Fraction` over Q and ints in 1..p-1 over F_p.  Arithmetic sums them
+with Python's own operators and reduces each result mod p once, in
+`_reduced`; the constructor drops the zeros.  Printing is canonical: grevlex
 descending, declaration order inside a monomial, `^` only for exponents >= 2.
 
 Rational functions keep a (numerator, denominator) pair normalized only up
@@ -10,6 +13,7 @@ cross-multiplication, never by gcd canonical forms.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .errors import AlgebraError, ValidationError
 from .fields import FieldSpec
@@ -102,6 +106,28 @@ class PolyRing:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
+def _reduced(ring: PolyRing, sums: dict) -> "Polynomial":
+    """The polynomial with the exact coefficient sums `sums`, each reduced
+    mod p once over F_p (over Q they are kept as they are)."""
+    p = ring.field.p
+    if p is not None:
+        sums = {e: c % p for e, c in sums.items()}
+    return Polynomial(ring, sums)
+
+
+def power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply; `one` is the unit of
+    base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -173,59 +199,37 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_ring(other)
-        field = self.ring.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = field.add(out.get(e, field.zero()), c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+            out[e] = out.get(e, 0) + c
+        return _reduced(self.ring, out)
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
+        return _reduced(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_ring(other)
-        field = self.ring.field
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _mono_mul(e1, e2)
-                s = field.add(out.get(e, field.zero()), field.mul(c1, c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return _reduced(self.ring, out)
 
     def scale(self, coeff) -> "Polynomial":
-        if not coeff:
-            return self.ring.zero()
-        field = self.ring.field
-        return Polynomial(self.ring, {e: field.mul(c, coeff) for e, c in self.terms.items()})
+        return _reduced(self.ring, {e: c * coeff for e, c in self.terms.items()})
 
     def mul_monomial(self, exps, coeff) -> "Polynomial":
-        field = self.ring.field
-        return Polynomial(self.ring, {_mono_mul(e, exps): field.mul(c, coeff)
-                                      for e, c in self.terms.items()})
+        return _reduced(self.ring, {_mono_mul(e, exps): c * coeff
+                                    for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     def monic(self, order=GREVLEX) -> "Polynomial":
         lead = self.leading(order)
@@ -234,43 +238,23 @@ class Polynomial:
         return self.scale(self.ring.field.inv(lead[1]))
 
     def derivative(self, name: str) -> "Polynomial":
+        # lowering exponent i is injective on the terms with e[i] > 0
         i = self.ring.index(name)
-        field = self.ring.field
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            d = field.scale_int(c, exps[i])
-            if not d:
-                continue
-            e = list(exps)
-            e[i] -= 1
-            e = tuple(e)
-            s = field.add(out.get(e, field.zero()), d)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return _reduced(self.ring, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                    for e, c in self.terms.items() if e[i]})
 
     # -- evaluation and substitution ---------------------------------------------
 
     def evaluate(self, values: dict):
         """Full evaluation at field elements, keyed by variable name."""
-        field = self.ring.field
         for name in self.variables_used():
             if name not in values:
                 raise ValidationError(f"no value for variable {name!r}")
-        total = field.zero()
-        for exps, c in self.terms.items():
-            term = c
-            for i, e in enumerate(exps):
-                if e:
-                    v = values[self.ring.names[i]]
-                    for _ in range(e):
-                        term = field.mul(term, v)
-            total = field.add(total, term)
-        return total
+        names = self.ring.names
+        field = self.ring.field
+        total = sum((c * prod(values[names[i]] ** e for i, e in enumerate(exps) if e)
+                     for exps, c in self.terms.items()), field.zero())
+        return total % field.p if field.p is not None else total
 
     def eval_partial(self, values: dict, target: PolyRing) -> "Polynomial":
         """Evaluate some variables at field elements; the rest must exist in

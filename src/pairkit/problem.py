@@ -52,6 +52,17 @@ def check_power_terms(t: int, n: int, line=None, col=None):
                          f"{MAX_POWER_TERMS} terms", line, col)
 
 
+def check_constant_bits(polys, n: int, line=None, col=None):
+    """Refuse the power n over Q when a coefficient of `polys` could pass
+    MAX_CONSTANT_BITS bits: |n| times the ceil(log2) of its numerator or
+    denominator, so powers of 1 and -1 cost nothing."""
+    bits = max(((abs(x) - 1).bit_length() for p in polys for c in p.terms.values()
+                for x in (c.numerator, c.denominator)), default=0)
+    if abs(n) * bits > MAX_CONSTANT_BITS:
+        raise ParseError(f"power {n} of a {bits}-bit constant may exceed "
+                         f"{MAX_CONSTANT_BITS} bits", line, col)
+
+
 def _tokenize(text: str, line: int, col0: int):
     tokens = []
     pos = 0
@@ -241,12 +252,7 @@ class _Context:
         check_power_terms(_term_count(a), n, line, col)
         polys = _polys(a)
         if self.ring.field.p is None and all(p.is_constant() for p in polys):
-            # ceil(log2) of |numerator| and denominator: powers of 1 cost nothing
-            bits = max(((abs(x) - 1).bit_length() for p in polys for c in p.terms.values()
-                        for x in (c.numerator, c.denominator)), default=0)
-            if abs(n) * bits > MAX_CONSTANT_BITS:
-                raise ParseError(f"power {n} of a {bits}-bit constant may exceed "
-                                 f"{MAX_CONSTANT_BITS} bits", line, col)
+            check_constant_bits(polys, n, line, col)
         try:
             return a ** n
         except AlgebraError as exc:
@@ -260,9 +266,10 @@ def _parse(text: str, line: int, col0: int, context: _Context):
     return _ExprParser(tokens, line, context).parse()
 
 
-def _bounded(value, line: int):
-    """A parsed problem line or probe, refused above MAX_DEGREE in the ring
-    variables, since it is validated or acted on afterwards."""
+def bounded(value, line: int):
+    """A parsed problem line, probe or semi-invariant g or h, refused above
+    MAX_DEGREE in the ring variables, since it is validated or acted on
+    afterwards."""
     degree = max((p.total_degree() for p in _polys(value)), default=-1)
     if degree > MAX_DEGREE:
         raise ParseError(f"total degree {degree} exceeds {MAX_DEGREE}", line)
@@ -274,8 +281,8 @@ def parse_polynomial(text: str, ring: PolyRing, line: int = 1, col0: int = 0) ->
 
 
 def parse_rational(text: str, ring: PolyRing, line: int = 1) -> RationalFunction:
-    return _bounded(_parse(text, line, 0,
-                           _Context(ring, RationalFunction.from_poly, division=True)), line)
+    return bounded(_parse(text, line, 0,
+                          _Context(ring, RationalFunction.from_poly, division=True)), line)
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -419,8 +426,8 @@ def parse_problem(text: str) -> ProblemFile:
             require(expr_text is None, "relation lines do not use '='", lineno)
             parts = body.split(None, 1)
             require(len(parts) == 2, "usage: relation <poly>", lineno)
-            relations.append(_bounded(parse_polynomial(parts[1], ring, lineno,
-                                                       body.find(parts[1])), lineno))
+            relations.append(bounded(parse_polynomial(parts[1], ring, lineno,
+                                                      body.find(parts[1])), lineno))
         elif keyword == "group":
             require(ring is not None, "group before ring", lineno)
             require(group_coords is None, "duplicate group directive", lineno)
@@ -449,8 +456,8 @@ def parse_problem(text: str) -> ProblemFile:
                 expr_ring = PolyRing(a_names + b_names, field)
             else:
                 expr_ring = PolyRing(group_coords, field)
-            target[coord] = _bounded(parse_polynomial(expr_text, expr_ring, lineno,
-                                                      expr_col), lineno)
+            target[coord] = bounded(parse_polynomial(expr_text, expr_ring, lineno,
+                                                     expr_col), lineno)
         elif keyword == "act":
             require(ring is not None, "act before ring", lineno)
             require(group_coords is not None, "act before group", lineno)
@@ -461,7 +468,7 @@ def parse_problem(text: str) -> ProblemFile:
             require(name in ring.names, f"unknown ring variable {name!r}", lineno)
             require(name not in act, f"duplicate act line for {name!r}", lineno)
             big = PolyRing(ring.names + tuple(group_coords), field)
-            act[name] = _bounded(parse_polynomial(expr_text, big, lineno, expr_col), lineno)
+            act[name] = bounded(parse_polynomial(expr_text, big, lineno, expr_col), lineno)
         elif keyword == "gmact":
             require(ring is not None, "gmact before ring", lineno)
             require(not act, "cannot mix act and gmact", lineno)
@@ -472,9 +479,9 @@ def parse_problem(text: str) -> ProblemFile:
             require(name not in gmact, f"duplicate gmact line for {name!r}", lineno)
             require("w" not in ring.names,
                     "ring variable 'w' collides with the weight variable", lineno)
-            gmact[name] = _bounded(_parse(expr_text, lineno, expr_col,
-                                          _Context(ring, LaurentPoly.from_poly, weight="w")),
-                                   lineno)
+            gmact[name] = bounded(_parse(expr_text, lineno, expr_col,
+                                         _Context(ring, LaurentPoly.from_poly, weight="w")),
+                                  lineno)
         elif keyword == "pair":
             require(ring is not None, "pair before ring", lineno)
             require(expr_text is None, "pair lines do not use '='", lineno)
@@ -485,7 +492,7 @@ def parse_problem(text: str) -> ProblemFile:
             require(idx >= 1, "pair index must be >= 1", lineno)
             expr_str = body.split(None, 3)[3]
             col = body.find(expr_str)
-            poly = _bounded(parse_polynomial(expr_str, ring, lineno, col), lineno)
+            poly = bounded(parse_polynomial(expr_str, ring, lineno, col), lineno)
             bucket = pair_g if head_words[2] == "g" else pair_h
             bucket.setdefault(idx, []).append(poly)
         elif keyword == "point":

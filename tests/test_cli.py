@@ -212,6 +212,33 @@ class TestVerbs:
         assert proc.stderr == ("error: power 1000000 of a 2-term expression may "
                                "exceed 500 terms\n")
 
+    @staticmethod
+    def semi_invariant(h, e, q):
+        return subprocess.run([sys.executable, "-m", "pairkit", "semi-invariant",
+                               path("gm_diag.prob"), "--g", "x", "--h", h,
+                               "--e", str(e), "--q", str(q)],
+                              capture_output=True, text=True, timeout=10,
+                              env={"PYTHONPATH": str(ROOT / "src")})
+
+    def test_huge_semi_invariant_power_of_a_monomial_passes_quickly(self):
+        """Both e-th powers are taken by squaring; h^e is never pushed forward."""
+        proc = self.semi_invariant("x", 1000000, -999999)
+        assert proc.returncode == 0 and "semi-invariant: pass" in proc.stdout
+
+    def test_huge_semi_invariant_coefficient_power_is_refused_quickly(self):
+        proc = self.semi_invariant("3/2", 1000000, 0)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr == ("error: power 1000000 of a 2-bit constant may exceed "
+                               "4096 bits\n")
+
+    @pytest.mark.parametrize("g,h", [("x^2049", "y"), ("x", "x*y^2048")])
+    def test_semi_invariant_degree_limit(self, capsys, g, h):
+        code = run(["semi-invariant", path("gm_diag.prob"), "--g", g, "--h", h,
+                    "--e", "1", "--q", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == "error: total degree 2049 exceeds 2048 (line 1)\n"
+
     def test_nagata(self, tmp_path, capsys):
         points = tmp_path / "pts.txt"
         points.write_text("1\n2\n", encoding="utf-8")

@@ -7,6 +7,12 @@ a rational function and a Laurent co-action image parses back to the same
 value; and division in grevlex, lex and a block order returns quotients and
 a remainder that reassemble the dividend, with normal forms constant on the
 cosets of an ideal.
+
+The ring axioms hold for polynomials, rational functions and Laurent
+polynomials over Q, F_2, F_7 and F_(2^31-1), whose unreduced coefficient
+sums pass 2^62.  Polynomial results store only reduced nonzero
+coefficients, evaluation agrees with a per-operation reference, and the
+derivative obeys the Leibniz rule.
 """
 
 from fractions import Fraction
@@ -35,6 +41,11 @@ property_settings = settings(max_examples=60, deadline=None, derandomize=True,
 def coefficients(field):
     if field.p is None:
         return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if field.p > 7:
+        # residues of small integers of either sign: p - 1 and its neighbours
+        # drive the unreduced products and their sums past 2^62
+        return st.one_of(st.integers(-4, 4).map(lambda n: n % field.p),
+                         st.integers(0, field.p - 1))
     return st.integers(0, field.p - 1)
 
 
@@ -251,3 +262,102 @@ def test_normal_form_is_constant_on_cosets(field, order, data):
     for g in basis:
         shifted = shifted + data.draw(polynomials(ring, max_exp=2, max_terms=3)) * g
     assert normal_form(shifted, basis) == normal_form(f, basis)
+
+
+# -- ring axioms, reduced coefficients, evaluation and derivative ---------------------
+
+# the large prime is drawn here only, so the tests above keep their examples
+ring_fields = st.sampled_from(FIELDS + [FieldSpec.prime(2**31 - 1)])
+
+
+def rational_functions(ring):
+    return st.builds(RationalFunction, polynomials(ring, 2, 3),
+                     nonzero(polynomials(ring, 2, 2)))
+
+
+def ring_elements(ring):
+    """(strategy, zero, one) for each element type over `ring`."""
+    return [(polynomials(ring), ring.zero(), ring.one()),
+            (rational_functions(ring), RationalFunction.zero(ring),
+             RationalFunction.one(ring)),
+            (laurent_polys(ring), LaurentPoly.zero(ring),
+             LaurentPoly.from_poly(ring.one()))]
+
+
+@property_settings
+@given(field=ring_fields, kind=st.integers(0, 2), data=st.data())
+def test_ring_axioms(field, kind, data):
+    ring = PolyRing(SOURCE, field)
+    elements, zero, one = ring_elements(ring)[kind]
+    a, b, c = (data.draw(elements) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a
+    assert a * one == a
+    assert a + (-a) == zero
+
+
+def assert_reduced(f: Polynomial):
+    p = f.ring.field.p
+    for c in f.terms.values():
+        if p is None:
+            assert type(c) is Fraction and c
+        else:
+            assert type(c) is int and 1 <= c < p
+
+
+@property_settings
+@given(field=ring_fields, data=st.data())
+def test_polynomial_coefficients_are_reduced(field, data):
+    ring = PolyRing(SOURCE, field)
+    f, g = data.draw(polynomials(ring)), data.draw(polynomials(ring))
+    c = data.draw(coefficients(field))
+    exps = data.draw(st.tuples(*[st.integers(0, 2)] * ring.nvars))
+    for result in (f + g, f - g, -f, f * g, f ** 3, f.scale(c),
+                   f.mul_monomial(exps, c), f.derivative("z1")):
+        assert_reduced(result)
+
+
+def reference_value(f: Polynomial, values):
+    """f at `values`, one field operation at a time."""
+    field = f.ring.field
+    total = field.zero()
+    for exps, c in f.terms.items():
+        term = c
+        for name, e in zip(f.ring.names, exps):
+            term = field.mul(term, field_pow(field, values[name], e))
+        total = field.add(total, term)
+    return total
+
+
+@property_settings
+@given(field=ring_fields, data=st.data())
+def test_evaluate_agrees_with_reference_and_respects_arithmetic(field, data):
+    ring = PolyRing(SOURCE, field)
+    f, g = data.draw(polynomials(ring)), data.draw(polynomials(ring))
+    at = data.draw(points(field, SOURCE))
+    fv, gv = f.evaluate(at), g.evaluate(at)
+    assert fv == reference_value(f, at)
+    assert type(fv) is type(field.zero())
+    assert (f + g).evaluate(at) == field.add(fv, gv)
+    assert (f * g).evaluate(at) == field.mul(fv, gv)
+
+
+@property_settings
+@given(field=ring_fields, name=st.sampled_from(SOURCE), data=st.data())
+def test_derivative_obeys_leibniz(field, name, data):
+    ring = PolyRing(SOURCE, field)
+    f, g = data.draw(polynomials(ring)), data.draw(polynomials(ring))
+    assert (f * g).derivative(name) == f.derivative(name) * g + f * g.derivative(name)
+    assert (f + g).derivative(name) == f.derivative(name) + g.derivative(name)
+
+
+@pytest.mark.parametrize("p", [2, 7, 2**31 - 1])
+def test_derivative_of_a_pth_power_vanishes(p):
+    ring = PolyRing(SOURCE, FieldSpec.prime(p))
+    z1, z2 = ring.var("z1"), ring.var("z2")
+    assert (z1 ** p).derivative("z1").is_zero()
+    assert not (z1 ** p * z2).derivative("z2").is_zero()

@@ -1,8 +1,9 @@
 """The benchmark's tracer rebinds pairkit functions by name; every name it
 lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
-`groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, and
-only `cli.run` writes to stdout."""
+`groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, only
+`cli.run` writes to stdout, and `poly.py` does its coefficient arithmetic
+with Python's operators rather than per-term field calls."""
 
 import ast
 import importlib
@@ -165,3 +166,28 @@ def stdout_writers(src_dir):
 
 def test_only_cli_run_writes_a_report():
     assert stdout_writers(ROOT / "src" / "pairkit") == ["cli.py:run"]
+
+
+PER_TERM_FIELD_OPS = {"add", "sub", "mul", "neg", "scale_int"}
+
+
+def per_term_field_calls(path):
+    """Calls of a field's add, sub, mul, neg or scale_int in one module,
+    the receiver being `field` or an attribute `.field`."""
+    calls = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in PER_TERM_FIELD_OPS:
+                    receiver = node.func.value
+                    if (isinstance(receiver, ast.Name) and receiver.id == "field") or \
+                            (isinstance(receiver, ast.Attribute) and receiver.attr == "field"):
+                        calls.append(f"{path.name}:{node.lineno} in {func.name}")
+    return calls
+
+
+def test_polynomial_arithmetic_makes_no_per_term_field_calls():
+    """Polynomial sums and products reduce mod p once per result, in
+    `_reduced`; zero, one and inv stay field calls."""
+    assert per_term_field_calls(ROOT / "src" / "pairkit" / "poly.py") == []
