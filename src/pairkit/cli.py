@@ -9,11 +9,12 @@ additive.
 
 import argparse
 import sys
-from fractions import Fraction
+from contextlib import contextmanager
 from pathlib import Path
 
 from .actions import is_semi_invariant, validate_action, validate_gm_action
 from .errors import PairkitError, ParseError, ValidationError
+from .fields import QQ
 from .groups import (SURJECTIVITY_NOTE, is_surjective, validate_endomorphism,
                      validate_group_law)
 from .invariants import (NagataSpec, cross_section_report, dixmier_generators,
@@ -24,8 +25,8 @@ from .linalg import formal_jacobian_rank
 from .pairs import (check_alpha_pair, is_affine_stable, pair_from_problem,
                     pedestal_ideal_from_pairs, build_fppf_cover,
                     transcendence_degree)
-from .problem import (bounded, check_constant_bits, check_power_terms, parse_problem,
-                      parse_polynomial, parse_rational, render_problem)
+from .problem import (bounded, check_constant_bits, check_power_terms, parse_point_value,
+                      parse_polynomial, parse_problem, parse_rational, render_problem)
 from .report import Report
 
 
@@ -48,6 +49,18 @@ def _emit(problem, path: str, report: Report):
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}")
     report.info("emitted", path)
+
+
+@contextmanager
+def _option(name: str, constant="constant"):
+    """Restate a parser refusal of option `name`'s value: the option and a column
+    in its text instead of a file line, and `constant` for a parser constant."""
+    try:
+        yield
+    except ParseError as exc:
+        col = "" if exc.col is None else f" (col {exc.col})"
+        message = exc.message.replace("constant", constant)
+        raise ValidationError(f"{name}: {message}{col}") from None
 
 
 def _require_unipotent(problem):
@@ -170,7 +183,8 @@ def cmd_invariants(args) -> Report:
         report.info(f"f[{name}]-presentation", f"({num.text()}) / H^{e}")
     report.info("Hbar", basis.Hbar.text())
     report.check("postcondition-invariant", True)
-    probes = [parse_rational(text, problem.ring) for text in args.probe]
+    with _option("--probe"):
+        probes = [parse_rational(text, problem.ring) for text in args.probe]
     if probes:
         report.merge(verify_generators(problem.action, basis, probes))
     if args.relations:
@@ -246,11 +260,14 @@ def cmd_semi_invariant(args) -> Report:
         raise ValidationError("semi-invariant requires a gmact problem")
     if args.e < 0:
         raise ValidationError("e must be non-negative")
-    g = bounded(parse_polynomial(args.g, problem.ring), 1)
-    h = bounded(parse_polynomial(args.h, problem.ring), 1)
-    check_power_terms(len(h.terms), args.e)
-    if problem.field.p is None:
-        check_constant_bits([h], args.e)
+    with _option("--g"):
+        g = bounded(parse_polynomial(args.g, problem.ring), 1)
+    with _option("--h"):
+        h = bounded(parse_polynomial(args.h, problem.ring), 1)
+    with _option("--h/--e", constant="coefficient"):  # h need not be constant
+        check_power_terms(len(h.terms), args.e)
+        if problem.field.p is None:
+            check_constant_bits([h], args.e)
     report = Report("semi-invariant")
     gm_report = validate_gm_action(problem.action)
     report.merge(gm_report, prefix="action-")
@@ -268,12 +285,7 @@ def _read_points(path: str, r: int):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        row = []
-        for word in body.split():
-            try:
-                row.append(Fraction(word))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational literal {word!r}", lineno)
+        row = [parse_point_value(word, QQ, lineno) for word in body.split()]
         if len(row) != r:
             raise ParseError(f"expected {r} coordinates", lineno)
         rows.append(row)

@@ -63,6 +63,10 @@ class GroupLaw:
     def origin_tuple(self, ring: PolyRing):
         return [RationalFunction.zero(ring) for _ in range(self.s)]
 
+    def __eq__(self, other):
+        return isinstance(other, GroupLaw) \
+            and (self.coords, self.mult, self.inv) == (other.coords, other.mult, other.inv)
+
     def __repr__(self):
         return f"GroupLaw(dim {self.s}, coords {self.coords})"
 

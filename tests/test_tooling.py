@@ -2,8 +2,9 @@
 lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
 `groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, only
-`cli.run` writes to stdout, and `poly.py` does its coefficient arithmetic
-with Python's operators rather than per-term field calls."""
+`cli.run` writes to stdout, `poly.py` does its coefficient arithmetic
+with Python's operators rather than per-term field calls, and a pair's
+verdicts are set by `check_alpha_pair` alone."""
 
 import ast
 import importlib
@@ -191,3 +192,39 @@ def test_polynomial_arithmetic_makes_no_per_term_field_calls():
     """Polynomial sums and products reduce mod p once per result, in
     `_reduced`; zero, one and inv stay field calls."""
     assert per_term_field_calls(ROOT / "src" / "pairkit" / "poly.py") == []
+
+
+VERDICTS = {"verified", "quasi_principle", "principle"}
+VERDICT_SETTERS = {"pairs.py:AlphaPair.__init__", "pairs.py:check_alpha_pair"}
+
+
+def verdict_setters(src_dir):
+    """Where `src/` assigns an attribute named like a pair verdict, by
+    assignment or by setattr, as "module:qualified function"."""
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = [n for t in node.targets for n in ast.walk(t)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        names = [t.attr for t in targets if isinstance(t, ast.Attribute)]
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr" \
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            names.append(node.args[1].value)
+        if VERDICTS & set(names):
+            found.append(f"{path.name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(src_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    return found
+
+
+def test_only_check_alpha_pair_sets_verdicts():
+    setters = verdict_setters(ROOT / "src" / "pairkit")
+    assert set(setters) == VERDICT_SETTERS, setters
