@@ -21,10 +21,8 @@ from .invariants import (NagataSpec, cross_section_report, dixmier_generators,
                          factor_through_kernel, induced_problem, mukai_predicate,
                          nagata_build, nagata_oracle_invariants,
                          relations_presentation, verify_generators)
-from .linalg import formal_jacobian_rank
 from .pairs import (check_alpha_pair, is_affine_stable, pair_from_problem,
-                    pedestal_ideal_from_pairs, build_fppf_cover,
-                    transcendence_degree)
+                    pedestal_ideal_from_pairs, build_fppf_cover, trdeg_and_rank)
 from .problem import (bounded, check_constant_bits, check_power_terms, parse_point_value,
                       parse_polynomial, parse_problem, parse_rational, render_problem)
 from .report import Report
@@ -89,7 +87,7 @@ def _validated_pair_report(args):
     pair = None
     if _validated(problem, report).passed:
         pair = pair_from_problem(problem, args.pair)
-        report.merge(check_alpha_pair(problem.action, pair))
+        report.merge(check_alpha_pair(problem.action, pair, problem.relations))
     return problem, report, pair if report.passed else None
 
 
@@ -110,7 +108,7 @@ def _pedestal_report(args, title: str, which: str, needs_points=False):
     report, pairs = Report(title), []
     for idx in sorted(problem.pairs):
         pairs.append(pair_from_problem(problem, idx))
-        pair_report = check_alpha_pair(problem.action, pairs[-1])
+        pair_report = check_alpha_pair(problem.action, pairs[-1], problem.relations)
         report.check(f"pair{idx}-verified", pair_report.passed,
                      ", ".join(pair_report.failures) or None)
     if not report.passed:
@@ -153,17 +151,16 @@ def cmd_trdeg(args) -> Report:
     pair = pair_from_problem(problem, args.pair)
     report = Report("trdeg")
     report.info("pair", args.pair)
-    degree = transcendence_degree(pair.fractions())
+    degree, rank = trdeg_and_rank(pair.fractions(), problem.relations)
     report.info("trdeg", degree)
     report.info("group-dim", problem.group.s)
     report.info("equals-group-dim", "true" if degree == problem.group.s else "false")
     if problem.field.p is not None:
-        report.info("separable", "true" if
-                    formal_jacobian_rank(pair.fractions()) == degree else "false")
+        report.info("separable", "true" if rank == degree else "false")
         report.info("note", "Jacobian certificate refused over prime fields; "
                     "elimination is authoritative")
     else:
-        report.info("jacobian-rank", degree)
+        report.info("jacobian-rank", rank)
     return report
 
 

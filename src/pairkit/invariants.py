@@ -19,7 +19,7 @@ from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
 from .linalg import ExactMatrix
 from .orders import BlockOrder
-from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially
+from .pairs import AlphaPair, graph_ideal, jacobian_certificate, kernel_acts_trivially
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
@@ -111,9 +111,19 @@ def verify_generators(action: CoAction, basis: InvariantBasis, probes) -> Report
 
 
 def relations_presentation(basis: InvariantBasis) -> Ideal:
-    """Kernel of W_i -> f_i: all relations among the generators, by
-    elimination with an auxiliary denominator-inverting variable."""
-    return eliminate(*graph_ideal(basis.f, "W"))
+    """Kernel of W_i -> f_i: all relations among the generators, as the
+    contraction to k[W] of the graph ideal (which inverts the denominators).
+
+    When the Jacobian certifies the nonzero f_i independent, that contraction
+    is <W_i : f_i = 0>; the small ideal is then eliminated instead, in the
+    same ring, and gives the same reduced basis.
+    """
+    graph, tags = graph_ideal(basis.f, "W")
+    nonzero = [f for f in basis.f if not f.is_zero()]
+    if jacobian_certificate(nonzero) == len(nonzero):
+        graph = Ideal(graph.ring, [graph.ring.var(tag)
+                                   for tag, f in zip(tags, basis.f) if f.is_zero()])
+    return eliminate(graph, tags)
 
 
 def cross_section_ideal(pair: AlphaPair) -> Ideal:

@@ -128,21 +128,25 @@ def jacobian_matrix(functions, variables=None):
 
 
 def jacobian_rank(functions, variables=None) -> int:
-    """Characteristic-0 certificate for algebraic independence.
+    """The Jacobian rank in characteristic 0, where it equals the
+    transcendence degree of the functions.
 
-    Refused over prime fields: the Jacobian criterion is unsound under
-    inseparability; use the elimination-based transcendence degree instead.
+    Refused over prime fields.  There a full rank still certifies algebraic
+    independence, but a short rank does not prove dependence (d(z^p) = 0), so
+    the rank is not the transcendence degree; use `transcendence_degree`,
+    which eliminates whenever the rank falls short.
     """
     if not functions:
         raise ValidationError("empty function list")
     if functions[0].ring.field.p is not None:
         raise UnsupportedMethodError(
-            "jacobian_rank is unsound over prime fields; "
-            "use the elimination-based transcendence degree")
+            "jacobian_rank is refused over prime fields, where a short rank "
+            "proves nothing; use the elimination-based transcendence degree")
     return rational_matrix_rank(jacobian_matrix(functions, variables))
 
 
 def formal_jacobian_rank(functions, variables=None) -> int:
-    """Rank of the formal Jacobian in any characteristic (internal: a rank
-    deficit against the transcendence degree witnesses inseparability)."""
+    """Rank of the formal Jacobian in any characteristic.  Full rank
+    certifies algebraic independence (see `pairs.jacobian_certificate`); a
+    rank below the transcendence degree witnesses inseparability."""
     return rational_matrix_rank(jacobian_matrix(functions, variables))

@@ -13,7 +13,7 @@ from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
 from .gbasis import Ideal, eliminate, groebner, ideal_dimension, normal_form
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
-from .linalg import formal_jacobian_rank, jacobian_rank
+from .linalg import formal_jacobian_rank
 from .orders import GREVLEX, BlockOrder
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
@@ -100,24 +100,54 @@ def graph_ideal(functions, tag: str, relations=None):
     return Ideal(big, gens + [rel.cast(big) for rel in relations or []]), tags
 
 
-def transcendence_degree(functions, relations=None) -> int:
-    """trdeg of k[functions] by elimination, valid in any characteristic.
+def jacobian_certificate(functions) -> int:
+    """Rank of the formal Jacobian of `functions` over k(z); 0 for none.
 
-    The answer is the dimension of the graph ideal's contraction to the tags
-    T_i.  In characteristic 0 (and without ambient relations) the Jacobian
-    rank is recomputed as a cross-check and any disagreement raises.
+    Full rank, len(functions), certifies that the functions are algebraically
+    independent, in every characteristic (k = Q and F_p are perfect).  Take a
+    relation P(f) = 0 of least degree.  Not every dP/dT_i is zero, or P would
+    be a p-th power; a nonzero one has lower degree, so it is nonzero at f;
+    and the chain rule sum_i dP/dT_i(f) * grad f_i = 0 then makes the rows
+    dependent.  Only the converse fails in characteristic p: z^p has rank 0
+    and is transcendental (Mittmann, Saxena & Scheiblechner, Trans. AMS 2014).
+    So a short rank certifies nothing, and the callers then eliminate.
+    """
+    return formal_jacobian_rank(functions) if functions else 0
+
+
+def trdeg_by_elimination(functions, relations=None) -> int:
+    """trdeg of k[functions] (modulo the relations) by elimination: the
+    dimension of the graph ideal's contraction to the tags T_i.  The
+    authoritative route, valid in any characteristic."""
+    return ideal_dimension(eliminate(*graph_ideal(functions, "T", relations)))
+
+
+def trdeg_and_rank(functions, relations=None) -> tuple[int, int]:
+    """(trdeg of k[functions], formal Jacobian rank), certificate first.
+
+    A full Jacobian rank is the answer.  A short rank, or any ambient
+    relations, sends the functions to `trdeg_by_elimination`; in
+    characteristic 0 without relations the rank must then equal the
+    elimination's answer, and any disagreement raises.
     """
     functions = list(functions)
     if not functions:
         raise ValidationError("transcendence degree of an empty list")
-    degree = ideal_dimension(eliminate(*graph_ideal(functions, "T", relations)))
-    if not relations and functions[0].ring.field.p is None:
-        jac = jacobian_rank(functions)
-        if jac != degree:
-            raise InternalCheckError(
-                f"transcendence degree disagreement: elimination gives {degree}, "
-                f"Jacobian rank gives {jac}")
-    return degree
+    rank = jacobian_certificate(functions)
+    if rank == len(functions) and not relations:
+        return rank, rank
+    degree = trdeg_by_elimination(functions, relations)
+    if not relations and functions[0].ring.field.p is None and rank != degree:
+        raise InternalCheckError(
+            f"transcendence degree disagreement: elimination gives {degree}, "
+            f"Jacobian rank gives {rank}")
+    return degree, rank
+
+
+def transcendence_degree(functions, relations=None) -> int:
+    """trdeg of k[functions] (modulo the relations), valid in any
+    characteristic: certified by a full Jacobian rank, else by elimination."""
+    return trdeg_and_rank(functions, relations)[0]
 
 
 def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
@@ -148,13 +178,11 @@ def check_alpha_pair(action: CoAction, pair: AlphaPair, relations=None) -> Repor
     ok, witness = check_pair_identity(action, pair, relations)
     report.check("identity", ok, witness)
 
-    functions = pair.fractions()
-    degree = transcendence_degree(functions, relations=relations)
+    degree, rank = trdeg_and_rank(pair.fractions(), relations)
     report.info("trdeg", degree)
     report.check("trdeg-full", degree == law.s)
     if law.field.p is not None:
-        report.info("separable",
-                    "true" if formal_jacobian_rank(functions) == degree else "false")
+        report.info("separable", "true" if rank == degree else "false")
 
     quasi = kernel_acts_trivially(action, pair.alpha)
     principle = pair.alpha.is_identity()

@@ -427,3 +427,35 @@ class TestVerifyOnce:
         code, _ = invoke(capsys, verb, path("e1.prob"), "--pair", "1")
         assert code == 0
         assert len(calls) == 1
+
+
+class TestRelationLines:
+    """Verbs judge a pair in the quotient ring that the problem's `relation`
+    lines define: for z1/(1 + z2) under z1 -> z1 + t the identity's
+    difference is -z2^2*t - z2*t, which is zero modulo <z2> only."""
+
+    HEAD = ("field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n"
+            "mult t = a1 + b1\ninv t = -t\nact z1 = z1 + t\nact z2 = z2\n")
+
+    def write(self, tmp_path, g):
+        problem = tmp_path / "quotient.prob"
+        problem.write_text(self.HEAD + f"pair 1 g {g}\npair 1 h 1 + z2\n",
+                           encoding="utf-8")
+        return str(problem)
+
+    def test_pair_holds_modulo_the_relation(self, tmp_path, capsys):
+        problem = self.write(tmp_path, "z1")
+        code, out = invoke(capsys, "check-pair", problem, "--pair", "1")
+        assert code == 0 and "identity: pass" in out
+        code, out = invoke(capsys, "trdeg", problem, "--pair", "1")
+        assert code == 0 and "trdeg: 1" in out
+        code, out = invoke(capsys, "pedestal", problem, "--which", "all")
+        assert code == 0 and "pair1-verified: pass" in out
+
+    def test_pair_wrong_modulo_the_relation_fails(self, tmp_path, capsys):
+        """2*z1/(1 + z2) leaves -z2^2*t + t, which is t modulo <z2>."""
+        problem = self.write(tmp_path, "2*z1")
+        code, out = invoke(capsys, "check-pair", problem, "--pair", "1")
+        assert code == 1 and "identity: FAIL" in out
+        code, out = invoke(capsys, "pedestal", problem, "--which", "all")
+        assert code == 1 and "pair1-verified: FAIL" in out

@@ -1,5 +1,6 @@
 """Whole-report regression: every shipped problem under twelve CLI verbs,
-and a table of inline problems whose law, action or endomorphism fails.
+`invariants --relations` on a generated Nagata (5, 3) problem, and a table
+of inline problems whose law, action or endomorphism fails.
 
 The golden files pin stdout and the exit code of each call byte for byte,
 where the verb tests only check substrings.  Every shipped problem passes
@@ -42,6 +43,10 @@ VERBS = (
     ("semi-invariant", "--g", "x", "--h", "y", "--e", "1", "--q", "0"),
 )
 PROBLEM_NAMES = sorted(p.name for p in PROBLEMS.glob("*.prob"))
+# a `--relations` presentation of ten generators, on a problem that `nagata`
+# generates from these points
+NAGATA_KEY = "invariants nagata-5-3 --pair 1 --relations"
+NAGATA_POINTS = "1 0 0\n0 1 0\n0 0 1\n1 1 1\n1 2 3\n"
 
 HEAD = "field Q\nring z1 z2\n"
 VECTOR2 = ("group dim 2 coords t1 t2\nmult t1 = a1 + b1\nmult t2 = a2 + b2\n"
@@ -122,9 +127,20 @@ def run_failing(directory: Path, name, *flags):
     return run_argv([verb, str(path), *flags])
 
 
-def collect():
-    return {call_key(name, verb): run_call(name, verb)
-            for name in PROBLEM_NAMES for verb in VERBS}
+def run_nagata(directory: Path):
+    pts, prob = directory / "nagata-5-3.pts", directory / "nagata-5-3.prob"
+    pts.write_text(NAGATA_POINTS, encoding="utf-8")
+    emitted = run_argv(["nagata", "5", "3", "--points", str(pts), "--emit", str(prob)])
+    if emitted["exit"] != 0:
+        raise AssertionError(emitted["stdout"])
+    return run_argv(["invariants", str(prob), "--pair", "1", "--relations"])
+
+
+def collect(directory: Path):
+    golden = {call_key(name, verb): run_call(name, verb)
+              for name in PROBLEM_NAMES for verb in VERBS}
+    golden[NAGATA_KEY] = run_nagata(directory)
+    return golden
 
 
 def collect_failing(directory: Path):
@@ -142,14 +158,18 @@ def golden_failures():
 
 
 def test_golden_covers_every_call(golden):
-    assert sorted(golden) == sorted(call_key(n, v)
-                                    for n in PROBLEM_NAMES for v in VERBS)
+    assert sorted(golden) == sorted([call_key(n, v) for n in PROBLEM_NAMES
+                                     for v in VERBS] + [NAGATA_KEY])
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @pytest.mark.parametrize("verb", VERBS, ids=lambda v: v[0])
 def test_report_matches_golden(golden, name, verb):
     assert run_call(name, verb) == golden[call_key(name, verb)]
+
+
+def test_nagata_relations_match_golden(golden, tmp_path):
+    assert run_nagata(tmp_path) == golden[NAGATA_KEY]
 
 
 def test_golden_failures_cover_the_table(golden_failures):
@@ -203,10 +223,11 @@ def test_failing_json_report_agrees_with_text(golden_failures, tmp_path, name):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
     with tempfile.TemporaryDirectory() as scratch:
+        golden = collect(Path(scratch))
         failing = collect_failing(Path(scratch))
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
     GOLDEN_FAILURES.write_text(json.dumps(failing, indent=1, sort_keys=True) + "\n",
                                encoding="utf-8")
     sys.stdout.write(f"wrote {GOLDEN} and {GOLDEN_FAILURES}\n")

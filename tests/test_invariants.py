@@ -2,17 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+from pairkit import invariants
 from pairkit.errors import AlgebraError, ValidationError
+from pairkit.fields import QQ
 from pairkit.gbasis import Ideal, ideals_equal
-from pairkit.invariants import (NagataSpec, cross_section_ideal,
+from pairkit.invariants import (InvariantBasis, NagataSpec, cross_section_ideal,
                                 cross_section_report, dixmier_generators,
                                 factor_through_kernel, induced_problem,
                                 mukai_predicate, nagata_build,
                                 nagata_oracle_invariants, relations_presentation,
                                 verify_generators)
 from pairkit.pairs import check_alpha_pair, pair_from_problem
-from pairkit.poly import RationalFunction
+from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_problem, parse_rational, render_problem
+
+from conftest import load
 
 
 def verified_pair(problem, idx=1):
@@ -104,6 +108,31 @@ class TestRelationsPresentation:
         f_map = {w: fi for w, fi in zip(presentation.ring.names, basis.f)}
         for g in presentation.gens:
             assert g.subs_rational(f_map).is_zero()
+
+
+    @pytest.mark.parametrize("problem", [
+        "e1.prob", "e1_stable.prob", "ga2_q.prob", "ga3_f2.prob", "heisenberg.prob",
+        NagataSpec(2, 1, [[1], [2]]), NagataSpec(4, 2, [[1, 0], [0, 1], [1, 1], [1, 2]]),
+    ], ids=lambda p: p if isinstance(p, str) else f"nagata-{p.n}-{p.r}")
+    def test_certified_presentation_is_the_full_elimination(self, problem, monkeypatch):
+        """With the certificate denied, the full graph ideal is eliminated;
+        the generators and their order are the same either way."""
+        problem = load(problem) if isinstance(problem, str) else nagata_build(problem)
+        basis = dixmier_generators(problem.action, verified_pair(problem))
+        certified = relations_presentation(basis)
+        monkeypatch.setattr(invariants, "jacobian_certificate", lambda fs: -1)
+        full = relations_presentation(basis)
+        assert certified.ring.names == full.ring.names
+        assert [g.text() for g in certified.gens] == [g.text() for g in full.gens]
+
+    def test_dependent_generators_fall_back(self):
+        ring = PolyRing(["z1", "z2"], QQ)
+        z1 = ring.var("z1")
+        fs = [RationalFunction.from_poly(z1), RationalFunction.from_poly(z1 * z1),
+              RationalFunction.zero(ring)]
+        presentation = relations_presentation(InvariantBasis(None, None, fs,
+                                                             None, None, None))
+        assert [g.text() for g in presentation.gens] == ["W3", "W1^2 - W2"]
 
 
 class TestFactorThroughKernel:

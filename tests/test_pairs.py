@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 
 from pairkit.actions import CoAction
-from pairkit.errors import ValidationError
+from pairkit import pairs
+from pairkit.errors import InternalCheckError, ValidationError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.gbasis import groebner, ideals_equal, Ideal, normal_form
 from pairkit.groups import Endomorphism
 from pairkit.linalg import jacobian_rank
 from pairkit.pairs import (AlphaPair, build_fppf_cover, check_alpha_pair,
                            check_pair_identity, is_affine_stable,
-                           kernel_acts_trivially, pair_from_problem,
-                           pedestal_ideal_from_pairs, transcendence_degree)
+                           jacobian_certificate, kernel_acts_trivially,
+                           pair_from_problem, pedestal_ideal_from_pairs,
+                           transcendence_degree, trdeg_by_elimination)
 from pairkit.poly import PolyRing, RationalFunction
+from pairkit.problem import parse_polynomial
 
 from conftest import PROBLEMS, load
 from oracles import random_rational_tuple
@@ -89,6 +92,78 @@ class TestTranscendenceDegree:
             # crosscheck is internal: any disagreement raises
             degree = transcendence_degree(fs)
             assert degree == jacobian_rank(fs)
+
+
+class TestJacobianCertificate:
+    """A full formal Jacobian rank decides trdeg; anything short of it, and
+    any ambient relation, goes to the elimination, which must agree."""
+
+    @staticmethod
+    def compare(ring, rng, count):
+        """trdeg by the certificate route against the elimination on `count`
+        seeded tuples; returns (certified, fell back) counts."""
+        routes = [0, 0]
+        compared = 0
+        while compared < count:
+            fs = [f for f in random_rational_tuple(ring, rng) if not f.is_zero()]
+            if not fs:
+                continue
+            assert transcendence_degree(fs) == trdeg_by_elimination(fs), \
+                [f.text() for f in fs]
+            routes[jacobian_certificate(fs) != len(fs)] += 1
+            compared += 1
+        return routes
+
+    def test_agrees_with_elimination_over_q(self):
+        """The criterion-07 generator and seed."""
+        certified, fell_back = self.compare(PolyRing(["z1", "z2", "z3"], QQ),
+                                            random.Random(20260808), 30)
+        assert certified and fell_back
+
+    @pytest.mark.parametrize("p, seed", [(2, 11), (7, 13)])
+    def test_agrees_with_elimination_over_fp(self, p, seed):
+        ring = PolyRing(["z1", "z2", "z3"], FieldSpec.prime(p))
+        certified, fell_back = self.compare(ring, random.Random(seed), 25)
+        assert certified and fell_back
+
+    @pytest.fixture()
+    def eliminations(self, monkeypatch):
+        """The argument tuples of every `trdeg_by_elimination` call."""
+        calls = []
+        real = pairs.trdeg_by_elimination
+        monkeypatch.setattr(pairs, "trdeg_by_elimination",
+                            lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("p, texts, rank, degree", [
+        (2, ["z1^2"], 0, 1),                 # inseparable: d(z1^2) = 0
+        (7, ["z1^7 + z2", "z2"], 1, 2),      # inseparable pair
+        (7, ["z1^7 + z2"], 1, 1),            # certified despite the z1^7
+        (7, ["z1*z2", "z1*z2"], 1, 1),       # repeated function
+        (2, ["1"], 0, 0),                    # constant
+        (7, ["z1 + z2", "z1^2 + 2*z1*z2 + z2^2"], 1, 1),
+    ])
+    def test_only_a_short_rank_eliminates(self, p, texts, rank, degree, eliminations):
+        ring = PolyRing(["z1", "z2"], FieldSpec.prime(p))
+        fs = [RationalFunction.from_poly(parse_polynomial(t, ring)) for t in texts]
+        assert jacobian_certificate(fs) == rank
+        assert transcendence_degree(fs) == degree
+        assert len(eliminations) == (rank < len(fs))
+        assert pairs.trdeg_by_elimination(fs) == degree
+
+    def test_relations_always_eliminate(self, eliminations):
+        R = PolyRing(["z1", "z2"], QQ)
+        fs = [RationalFunction.from_poly(g) for g in R.gens()]
+        assert transcendence_degree(fs, relations=[R.var("z2")]) == 1
+        assert len(eliminations) == 1
+
+    def test_fallback_keeps_the_q_crosscheck(self, monkeypatch):
+        R = PolyRing(["z1", "z2"], QQ)
+        z1 = R.var("z1")
+        fs = [RationalFunction.from_poly(z1), RationalFunction.from_poly(z1 * z1)]
+        monkeypatch.setattr(pairs, "trdeg_by_elimination", lambda *args: 2)
+        with pytest.raises(InternalCheckError, match="disagreement"):
+            transcendence_degree(fs)
 
 
 class TestKernelActsTrivially:

@@ -3,8 +3,9 @@ lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
 `groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, only
 `cli.run` writes to stdout, `poly.py` does its coefficient arithmetic
-with Python's operators rather than per-term field calls, and a pair's
-verdicts are set by `check_alpha_pair` alone."""
+with Python's operators rather than per-term field calls, a pair's
+verdicts are set by `check_alpha_pair` alone, and a graph ideal is
+eliminated only on the routes the Jacobian certificate falls back to."""
 
 import ast
 import importlib
@@ -228,3 +229,52 @@ def verdict_setters(src_dir):
 def test_only_check_alpha_pair_sets_verdicts():
     setters = verdict_setters(ROOT / "src" / "pairkit")
     assert set(setters) == VERDICT_SETTERS, setters
+
+
+GRAPH_ELIMINATIONS = {"pairs.py:trdeg_by_elimination",
+                      "invariants.py:relations_presentation"}
+
+
+def _is_graph_ideal_call(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "graph_ideal"
+
+
+def graph_eliminations(src_dir):
+    """The functions, as "module:function", that pass a `graph_ideal(...)`
+    result to `eliminate`: directly, unpacked with `*`, or through a name
+    bound to it."""
+    found = set()
+    for path in sorted(src_dir.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            bound = {name for node in ast.walk(func)
+                     if isinstance(node, ast.Assign) and _is_graph_ideal_call(node.value)
+                     for target in node.targets for name in _bound(target)}
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "eliminate"
+                        and node.args):
+                    continue
+                first = node.args[0]
+                if isinstance(first, ast.Starred):
+                    first = first.value
+                if _is_graph_ideal_call(first) or \
+                        (isinstance(first, ast.Name) and first.id in bound):
+                    found.add(f"{path.name}:{func.name}")
+    return found
+
+
+def test_graph_ideal_is_eliminated_only_on_fallback_routes():
+    """Everywhere else the Jacobian certificate decides first, so no second,
+    uncertified elimination of a graph ideal grows back."""
+    assert graph_eliminations(ROOT / "src" / "pairkit") == GRAPH_ELIMINATIONS
+
+
+def test_graph_elimination_check_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def direct(fs):\n    return eliminate(*graph_ideal(fs, 'T'))\n"
+        "def named(fs):\n    ideal, tags = graph_ideal(fs, 'T')\n"
+        "    return eliminate(ideal, tags)\n"
+        "def other(ideal, keep):\n    return eliminate(ideal, keep)\n",
+        encoding="utf-8")
+    assert graph_eliminations(tmp_path) == {"mod.py:direct", "mod.py:named"}
