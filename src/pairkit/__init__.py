@@ -1,27 +1,51 @@
 """pairkit: exact pair-theoretic invariant computations for unipotent group
-actions on affine varieties, in characteristic 0 and p."""
+actions on affine varieties, in characteristic 0 and p.
 
-from .actions import (CoAction, GmCoAction, LaurentPoly, gm_weight_components,
-                      is_semi_invariant, validate_action, validate_gm_action)
-from .errors import (AlgebraError, InternalCheckError, PairkitError, ParseError,
-                     UnsupportedMethodError, ValidationError)
-from .fields import QQ, FieldSpec
-from .gbasis import (GroebnerBasis, Ideal, eliminate, groebner, ideal_dimension,
-                     normal_form, saturate)
-from .groups import (Endomorphism, GroupLaw, compose_endomorphisms, is_surjective,
-                     kernel_ideal, validate_endomorphism, validate_group_law)
-from .invariants import (InvariantBasis, NagataSpec, cross_section_ideal,
-                         dixmier_generators, factor_through_kernel,
-                         mukai_predicate, nagata_build, nagata_oracle_invariants,
-                         relations_presentation, verify_generators)
-from .linalg import ExactMatrix, jacobian_rank
-from .orders import GREVLEX, LEX, BlockOrder
-from .pairs import (AlphaPair, build_fppf_cover, check_alpha_pair,
-                    check_pair_identity, is_affine_stable, kernel_acts_trivially,
-                    pair_from_problem, pedestal_ideal_from_pairs,
-                    transcendence_degree)
-from .poly import Polynomial, PolyRing, RationalFunction, substitute
-from .problem import (ProblemFile, parse_polynomial, parse_problem, parse_rational,
-                      render, render_problem)
+Importing the package loads no submodule: each exported name is imported
+from its module on first access (PEP 562), so `from pairkit import X` loads
+only what X needs, and a CLI call only the modules its verb runs.
+"""
 
+# defining module -> the names exported from it
+_EXPORTS = {
+    "actions": ("CoAction", "GmCoAction", "LaurentPoly", "gm_weight_components",
+                "is_semi_invariant", "validate_action", "validate_gm_action"),
+    "cli": ("mukai_predicate",),
+    "errors": ("AlgebraError", "InternalCheckError", "PairkitError", "ParseError",
+               "UnsupportedMethodError", "ValidationError"),
+    "fields": ("QQ", "FieldSpec"),
+    "gbasis": ("GroebnerBasis", "Ideal", "eliminate", "groebner", "ideal_dimension",
+               "normal_form", "saturate"),
+    "groups": ("Endomorphism", "GroupLaw", "compose_endomorphisms", "is_surjective",
+               "kernel_ideal", "validate_endomorphism", "validate_group_law"),
+    "invariants": ("InvariantBasis", "NagataSpec", "cross_section_ideal",
+                   "dixmier_generators", "factor_through_kernel", "nagata_build",
+                   "nagata_oracle_invariants", "relations_presentation",
+                   "verify_generators"),
+    "linalg": ("ExactMatrix", "jacobian_rank"),
+    "orders": ("GREVLEX", "LEX", "BlockOrder"),
+    "pairs": ("AlphaPair", "build_fppf_cover", "check_alpha_pair",
+              "check_pair_identity", "is_affine_stable", "kernel_acts_trivially",
+              "pair_from_problem", "pedestal_ideal_from_pairs", "transcendence_degree"),
+    "poly": ("Polynomial", "PolyRing", "RationalFunction", "substitute"),
+    "problem": ("ProblemFile", "parse_polynomial", "parse_problem", "parse_rational",
+                "render", "render_problem"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

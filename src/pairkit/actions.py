@@ -6,7 +6,6 @@ polynomial per space variable, as a weight -> polynomial map.
 """
 
 from .errors import AlgebraError, ValidationError
-from .gbasis import Ideal
 from .groups import GroupLaw
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names, power
 from .report import Report
@@ -58,9 +57,10 @@ class CoAction:
             f = RationalFunction.from_poly(f)
         return self.pushforward(f) == f.cast(self.big_ring)
 
-    def stabilizer_ideal(self, point) -> Ideal:
+    def stabilizer_ideal(self, point) -> "Ideal":
         """<v_i(x, Y) - x_i> in k[coords]; the reduced basis equals the list
         of coordinates exactly when the stabilizer is trivial."""
+        from .gbasis import Ideal
         point = list(point)
         if len(point) != self.ring.nvars:
             raise ValidationError(f"point arity must be {self.ring.nvars}")

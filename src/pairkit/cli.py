@@ -4,7 +4,8 @@ Every verb returns its Report, and `run` alone writes it and picks the exit
 code: 0 = all checks passed / computation succeeded; 1 = a mathematical check
 failed (the report names it, with a witness); 2 = parse or validation error,
 with no report.  Reports are line-oriented `key: value` text; --json is
-additive.
+additive.  Each verb imports the modules it runs in its own body, so a call
+loads only what its verb needs.
 """
 
 import argparse
@@ -12,19 +13,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .actions import is_semi_invariant, validate_action, validate_gm_action
 from .errors import PairkitError, ParseError, ValidationError
-from .fields import QQ
-from .groups import (SURJECTIVITY_NOTE, is_surjective, validate_endomorphism,
-                     validate_group_law)
-from .invariants import (NagataSpec, cross_section_report, dixmier_generators,
-                         factor_through_kernel, induced_problem, mukai_predicate,
-                         nagata_build, nagata_oracle_invariants,
-                         relations_presentation, verify_generators)
-from .pairs import (check_alpha_pair, is_affine_stable, pair_from_problem,
-                    pedestal_ideal_from_pairs, build_fppf_cover, trdeg_and_rank)
-from .problem import (bounded, check_constant_bits, check_power_terms, parse_point_value,
-                      parse_polynomial, parse_problem, parse_rational, render_problem)
 from .report import Report
 
 
@@ -38,10 +27,12 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
+    from .problem import parse_problem
     return parse_problem(_read(path))
 
 
 def _emit(problem, path: str, report: Report):
+    from .problem import render_problem
     try:
         Path(path).write_text(render_problem(problem), encoding="utf-8")
     except OSError as exc:
@@ -69,6 +60,8 @@ def _require_unipotent(problem):
 
 def _validated(problem, report: Report) -> Report:
     """`report` with the group-law and action validation merged in."""
+    from .actions import validate_action
+    from .groups import validate_group_law
     report.merge(validate_group_law(problem.group), prefix="law-")
     report.merge(validate_action(problem.action), prefix="action-")
     return report
@@ -81,6 +74,7 @@ def _validated_pair_report(args):
     Returns (problem, report, pair), where pair is the checked pair, or None
     when a check failed.
     """
+    from .pairs import check_alpha_pair, pair_from_problem
     problem = _require_unipotent(_load(args.file))
     report = Report("pair-check")
     report.info("pair", args.pair)
@@ -97,6 +91,7 @@ def _pedestal_report(args, title: str, which: str, needs_points=False):
 
     Returns (problem, report, ideal), where ideal is None when a check failed.
     """
+    from .pairs import check_alpha_pair, pair_from_problem, pedestal_ideal_from_pairs
     problem = _require_unipotent(_load(args.file))
     if not problem.pairs:
         raise ValidationError("the problem has no pairs")
@@ -117,11 +112,13 @@ def _pedestal_report(args, title: str, which: str, needs_points=False):
 
 
 def cmd_check_group(args) -> Report:
+    from .groups import validate_group_law
     problem = _require_unipotent(_load(args.file))
     return validate_group_law(problem.group)
 
 
 def cmd_check_endo(args) -> Report:
+    from .groups import SURJECTIVITY_NOTE, is_surjective, validate_endomorphism
     problem = _require_unipotent(_load(args.file))
     if problem.endo is None:
         raise ValidationError("the problem has no endo section")
@@ -134,6 +131,8 @@ def cmd_check_endo(args) -> Report:
 
 
 def cmd_check_action(args) -> Report:
+    from .actions import validate_action, validate_gm_action
+    from .groups import validate_group_law
     problem = _load(args.file)
     if problem.is_gm:
         return validate_gm_action(problem.action)
@@ -147,6 +146,7 @@ def cmd_check_pair(args) -> Report:
 
 
 def cmd_trdeg(args) -> Report:
+    from .pairs import pair_from_problem, trdeg_and_rank
     problem = _require_unipotent(_load(args.file))
     pair = pair_from_problem(problem, args.pair)
     report = Report("trdeg")
@@ -165,6 +165,8 @@ def cmd_trdeg(args) -> Report:
 
 
 def cmd_invariants(args) -> Report:
+    from .invariants import dixmier_generators, relations_presentation, verify_generators
+    from .problem import parse_rational
     problem, report, pair = _validated_pair_report(args)
     if pair is None:
         return report
@@ -193,6 +195,7 @@ def cmd_invariants(args) -> Report:
 
 
 def cmd_factor(args) -> Report:
+    from .invariants import factor_through_kernel, induced_problem
     problem = _require_unipotent(_load(args.file))
     if problem.endo is None:
         raise ValidationError("factor requires an endo section (alpha)")
@@ -206,10 +209,11 @@ def cmd_factor(args) -> Report:
 
 
 def cmd_fppf(args) -> Report:
+    from .pairs import build_fppf_cover
     problem, report, pair = _validated_pair_report(args)
     if pair is None:
         return report
-    cover, cover_report = build_fppf_cover(problem.action, pair)
+    cover, cover_report = build_fppf_cover(problem.action, pair, problem.relations)
     report.merge(cover_report)
     if args.emit:
         _emit(cover, args.emit, report)
@@ -217,6 +221,7 @@ def cmd_fppf(args) -> Report:
 
 
 def cmd_cross_section(args) -> Report:
+    from .invariants import cross_section_report
     problem, report, pair = _validated_pair_report(args)
     if pair is not None:
         report.merge(cross_section_report(problem.action, pair, problem.points))
@@ -236,6 +241,7 @@ def cmd_pedestal(args) -> Report:
 
 
 def cmd_stable(args) -> Report:
+    from .pairs import is_affine_stable
     problem, report, ideal = _pedestal_report(args, "affine-stability",
                                               "quasi-principle-only", needs_points=True)
     if ideal is None:
@@ -252,6 +258,8 @@ def cmd_stable(args) -> Report:
 
 
 def cmd_semi_invariant(args) -> Report:
+    from .actions import is_semi_invariant, validate_gm_action
+    from .problem import bounded, check_constant_bits, check_power_terms, parse_polynomial
     problem = _load(args.file)
     if not problem.is_gm:
         raise ValidationError("semi-invariant requires a gmact problem")
@@ -277,6 +285,8 @@ def cmd_semi_invariant(args) -> Report:
 
 
 def _read_points(path: str, r: int):
+    from .fields import QQ
+    from .problem import parse_point_value
     rows = []
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -289,7 +299,17 @@ def _read_points(path: str, r: int):
     return rows
 
 
+def mukai_predicate(n: int, r: int) -> bool:
+    """Finite generation of the Nagata invariant ring: 1/r + 1/(n-r) >= 1/2,
+    decided exactly in integers as 2n >= r(n-r), both sides multiplied by
+    2r(n-r) > 0."""
+    if not 0 < r < n:
+        raise ValidationError("need 0 < r < n")
+    return 2 * n >= r * (n - r)
+
+
 def cmd_nagata(args) -> Report:
+    from .invariants import NagataSpec, nagata_build, nagata_oracle_invariants
     points = _read_points(args.points, args.r)
     spec = NagataSpec(args.n, args.r, points)
     problem = nagata_build(spec)

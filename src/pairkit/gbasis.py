@@ -16,7 +16,7 @@ reproduce bit-identical bases.
 
 import heapq
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd
 
 from .errors import AlgebraError
@@ -369,20 +369,44 @@ def eliminate(ideal: Ideal, keep) -> Ideal:
 
 
 def ideal_dimension(ideal: Ideal) -> int:
-    """Krull dimension of ring/I via maximal independent variable sets modulo
-    the leading-term ideal; -1 for the unit ideal."""
-    n = ideal.ring.nvars
+    """Krull dimension of ring/I, read off its GREVLEX leading terms; -1 for
+    the unit ideal."""
     basis = buchberger(ideal.nonzero_gens(), GREVLEX)
-    if not basis:
-        return n
-    if any(p.is_constant() for p in basis):
+    return lead_dimension([p.leading(GREVLEX)[0] for p in basis], ideal.ring.nvars)
+
+
+def lead_dimension(leads, nvars: int) -> int:
+    """Krull dimension of k[x_1..x_nvars] modulo the monomial ideal of the
+    exponent tuples `leads`; -1 when one of them is constant.
+
+    A variable set is independent when no lead's support lies inside it, so
+    the dimension is nvars minus the size of a smallest set of variables that
+    meets every support.  Branch and bound finds that set: branch on the
+    first support not yet met, the smallest as supports are sorted by size,
+    and cut at the best size found so far (Kredel & Weispfenning, J. Symb.
+    Comp. 6, 1988).
+    """
+    supports = sorted({sum(1 << i for i, e in enumerate(lead) if e) for lead in leads},
+                      key=int.bit_count)
+    if supports and not supports[0]:
         return -1
-    leads = [p.leading(GREVLEX)[0] for p in basis]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            inside = set(subset)
-            if all(any(e[i] for i in range(n) if i not in inside) for e in leads):
-                return size
+    best = nvars
+
+    def search(chosen: int, size: int):
+        nonlocal best
+        if size >= best:
+            return
+        missed = next((m for m in supports if not m & chosen), 0)
+        if not missed:
+            best = size
+            return
+        while missed:
+            bit = missed & -missed
+            search(chosen | bit, size + 1)
+            missed ^= bit
+
+    search(0, 0)
+    return nvars - best
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:

@@ -9,7 +9,6 @@ presentations violating that are reported as failures, not re-coordinatized.
 
 from .errors import ValidationError
 from .fields import FieldSpec
-from .gbasis import Ideal, ideal_dimension
 from .poly import Polynomial, PolyRing, RationalFunction, substitute
 from .report import Report
 
@@ -160,15 +159,17 @@ def compose_endomorphisms(law: GroupLaw, outer: Endomorphism, inner: Endomorphis
     return composite
 
 
-def kernel_ideal(law: GroupLaw, endo: Endomorphism) -> Ideal:
+def kernel_ideal(law: GroupLaw, endo: Endomorphism) -> "Ideal":
     """Scheme-theoretic kernel ideal <phi_1,...,phi_s> in k[coords]; not
     radicalized, so infinitesimal kernels are preserved."""
+    from .gbasis import Ideal
     return Ideal(law.coords_ring, list(endo.phi))
 
 
 def is_surjective(law: GroupLaw, endo: Endomorphism) -> bool:
     """Finite (dimension-0) kernel criterion: for a connected group, an
     endomorphism with finite kernel has dense full-dimensional closed image."""
+    from .gbasis import ideal_dimension
     return ideal_dimension(kernel_ideal(law, endo)) == 0
 
 

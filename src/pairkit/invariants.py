@@ -354,10 +354,3 @@ def nagata_oracle_invariants(spec: NagataSpec, problem: ProblemFile):
                                      "the invariance check")
     return out
 
-
-def mukai_predicate(n: int, r: int) -> bool:
-    """Finite generation of the Nagata invariant ring: 1/r + 1/(n-r) >= 1/2,
-    decided by exact rational comparison."""
-    if not 0 < r < n:
-        raise ValidationError("need 0 < r < n")
-    return Fraction(1, r) + Fraction(1, n - r) >= Fraction(1, 2)

@@ -227,11 +227,12 @@ def is_affine_stable(point, pedestal: Ideal) -> bool:
     return any(g.evaluate(values) for g in pedestal.gens)
 
 
-def build_fppf_cover(action: CoAction, pair: AlphaPair):
+def build_fppf_cover(action: CoAction, pair: AlphaPair, relations=None):
     """Explicit fppf neighborhood on which the action trivializes.
 
-    New ring Z + W, relation ideal <h_i * alpha#(w_i) - g_i>, extended
-    co-action (w translates by m(Y, W)), canonical pair ((w_1..w_s),(1..1)).
+    New ring Z + W, relation ideal <relations, h_i * alpha#(w_i) - g_i>, the
+    base problem's relations first, extended co-action (w translates by
+    m(Y, W)), canonical pair ((w_1..w_s),(1..1)).
     Returns (ProblemFile, Report); the canonical pair is re-verified as
     principle modulo the relation ideal before returning.  That cannot fail:
     both sides of its identity are m(Y, W), and no nonzero P(w) lies in the
@@ -246,8 +247,9 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair):
     cover_ring = PolyRing(ring.names + tuple(w_names), field)
 
     alpha_w = pair.alpha.apply(cover_ring.gens()[ring.nvars:])
-    relations = [h.cast(cover_ring) * a - g.cast(cover_ring)
-                 for g, h, a in zip(pair.g, pair.h, alpha_w)]
+    relations = [r.cast(cover_ring) for r in relations or []] + \
+        [h.cast(cover_ring) * a - g.cast(cover_ring)
+         for g, h, a in zip(pair.g, pair.h, alpha_w)]
 
     big = PolyRing(cover_ring.names + law.coords, field)
     gens = big.gens()

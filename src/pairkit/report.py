@@ -4,8 +4,6 @@ Reports render as stable `key: value` lines (diff-friendly) and carry enough
 structure for the CLI's --json mode.
 """
 
-import json
-
 
 class Report:
     def __init__(self, title: str):
@@ -63,6 +61,7 @@ class Report:
         return "\n".join(self.lines()) + "\n"
 
     def to_json(self) -> str:
+        import json
         data = {"report": self.title}
         for k, v in self.entries:
             data[k] = v

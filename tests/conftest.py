@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from pairkit.problem import parse_problem  # noqa: E402
 
 PROBLEMS = ROOT / "problems"
+
+
+def child_env(**extra):
+    """The caller's environment for a `python -m pairkit` child, with
+    pairkit's sources on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"), **extra)
 
 
 def load(name: str):

@@ -1,9 +1,10 @@
 """Independent oracles the Groebner path is checked against: brute-force
-ideal membership by linear algebra over monomials up to a degree bound, and
+ideal membership by linear algebra over monomials up to a degree bound, the
+Krull dimension of a monomial ideal by trying every variable subset, and
 seeded random polynomial generation."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from pairkit.linalg import ExactMatrix
 from pairkit.poly import Polynomial, PolyRing
@@ -42,6 +43,19 @@ def in_ideal_bruteforce(f: Polynomial, gens, degree: int) -> bool:
         matrix[index[exps]][len(columns)] = coeff
     _, pivots = ExactMatrix(ring.field, matrix).rref()
     return len(columns) not in pivots
+
+
+def lead_dimension_by_subsets(leads, nvars: int) -> int:
+    """Krull dimension of k[x_1..x_nvars] modulo the monomial ideal of the
+    exponent tuples `leads`: the largest variable subset containing no lead's
+    support, tried largest first; -1 when a lead is constant."""
+    if any(not any(e) for e in leads):
+        return -1
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            inside = set(subset)
+            if all(any(e[i] for i in range(nvars) if i not in inside) for e in leads):
+                return size
 
 
 def random_polynomial(ring: PolyRing, rng: random.Random, degree: int,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from pairkit.actions import is_semi_invariant, validate_action, validate_gm_action
+from pairkit.cli import mukai_predicate
 from pairkit.errors import UnsupportedMethodError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.gbasis import buchberger
@@ -19,15 +20,15 @@ from pairkit.groups import (Endomorphism, compose_endomorphisms,
                             validate_endomorphism, validate_group_law)
 from pairkit.invariants import (NagataSpec, dixmier_generators,
                                 factor_through_kernel, induced_problem,
-                                mukai_predicate, nagata_build,
-                                nagata_oracle_invariants, relations_presentation)
+                                nagata_build, nagata_oracle_invariants,
+                                relations_presentation)
 from pairkit.linalg import jacobian_rank
 from pairkit.pairs import (build_fppf_cover, check_alpha_pair, pair_from_problem,
                            transcendence_degree)
 from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_rational
 
-from conftest import PROBLEMS, ROOT, load
+from conftest import PROBLEMS, child_env, load
 from oracles import random_polynomial, random_rational_tuple
 from test_groups import heisenberg_law, vector_law
 
@@ -254,8 +255,7 @@ def test_criterion_09_semi_invariants():
 
 
 def test_criterion_10_determinism():
-    import os
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="random")
+    env = child_env(PYTHONHASHSEED="random")
     commands = [
         ["check-pair", str(PROBLEMS / "e1.prob"), "--pair", "1"],
         ["invariants", str(PROBLEMS / "e1.prob"), "--pair", "1",

@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from pairkit import cli
+from pairkit import pairs
 from pairkit.cli import run
 from pairkit.problem import parse_problem
 
-from conftest import PROBLEMS, ROOT
+from conftest import PROBLEMS, child_env, load
 
 
 def invoke(capsys, *argv):
@@ -207,7 +207,7 @@ class TestVerbs:
                                path("gm_diag.prob"), "--g", "x", "--h", "x + y",
                                "--e", "1000000", "--q", "0"],
                               capture_output=True, text=True, timeout=10,
-                              env={"PYTHONPATH": str(ROOT / "src")})
+                              env=child_env())
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr == ("error: --h/--e: power 1000000 of a 2-term expression "
                                "may exceed 500 terms\n")
@@ -218,7 +218,7 @@ class TestVerbs:
                                path("gm_diag.prob"), "--g", "x", "--h", h,
                                "--e", str(e), "--q", str(q)],
                               capture_output=True, text=True, timeout=10,
-                              env={"PYTHONPATH": str(ROOT / "src")})
+                              env=child_env())
 
     def test_huge_semi_invariant_power_of_a_monomial_passes_quickly(self):
         """Both e-th powers are taken by squaring; h^e is never pushed forward."""
@@ -294,7 +294,7 @@ class TestVerbs:
         proc = subprocess.run([sys.executable, "-m", "pairkit", "nagata", "2", "1",
                                "--points", str(points)],
                               capture_output=True, text=True, timeout=10,
-                              env={"PYTHONPATH": str(ROOT / "src")})
+                              env=child_env())
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr == "error: bad rational literal '1e100000000' (line 1)\n"
 
@@ -327,7 +327,7 @@ class TestVerbs:
                        "act z2 = z2 + t*z1 + (z1 + z2)^100000\n", encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "pairkit", "check-group", str(bad)],
                               capture_output=True, text=True, timeout=10,
-                              env={"PYTHONPATH": str(ROOT / "src")})
+                              env=child_env())
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("error: ") and "100000" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -354,7 +354,7 @@ class TestVerbs:
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "pairkit", "check-action", str(bad)],
                               capture_output=True, text=True, timeout=10,
-                              env={"PYTHONPATH": str(ROOT / "src")})
+                              env=child_env())
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("error: ") and reason in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -369,7 +369,7 @@ class TestVerbs:
                        encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "pairkit", "check-action", str(bad)],
                               capture_output=True, text=True, timeout=10,
-                              env={"PYTHONPATH": str(ROOT / "src")})
+                              env=child_env())
         assert proc.returncode == 1 and proc.stderr == ""
         witness = proc.stdout.split("action-compatibility-witness: z2: -")[1]
         digits = witness.split("*")[0]
@@ -403,30 +403,30 @@ class TestJsonAndDeterminism:
     def test_reports_byte_identical_across_processes(self):
         cmd = [sys.executable, "-m", "pairkit", "check-pair",
                str(PROBLEMS / "heisenberg.prob"), "--pair", "1"]
-        env_path = str(ROOT / "src")
-        import os
-        env = dict(os.environ, PYTHONPATH=env_path, PYTHONHASHSEED="random")
+        env = child_env(PYTHONHASHSEED="random")
         first = subprocess.run(cmd, capture_output=True, env=env, check=True)
         second = subprocess.run(cmd, capture_output=True, env=env, check=True)
         assert first.stdout == second.stdout and first.stdout
 
 
 class TestVerifyOnce:
-    """Verbs that build on a pair check it exactly once."""
+    """Verbs that build on a pair check it exactly once, on the problem's own
+    action; `fppf` also self-checks the cover pair, on the cover action."""
 
     @pytest.mark.parametrize("verb", ["invariants", "fppf", "cross-section"])
     def test_pair_checked_once(self, verb, monkeypatch, capsys):
-        real = cli.check_alpha_pair
-        calls = []
+        real = pairs.check_alpha_pair
+        actions = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(action, *args, **kwargs):
+            actions.append(action)
+            return real(action, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "check_alpha_pair", counting)
+        monkeypatch.setattr(pairs, "check_alpha_pair", counting)
         code, _ = invoke(capsys, verb, path("e1.prob"), "--pair", "1")
         assert code == 0
-        assert len(calls) == 1
+        own = load("e1.prob").ring.names
+        assert sum(action.ring.names == own for action in actions) == 1
 
 
 class TestRelationLines:
@@ -459,3 +459,16 @@ class TestRelationLines:
         assert code == 1 and "identity: FAIL" in out
         code, out = invoke(capsys, "pedestal", problem, "--which", "all")
         assert code == 1 and "pair1-verified: FAIL" in out
+
+    def test_fppf_cover_keeps_the_relations(self, tmp_path, capsys):
+        """The cover ring is k[z, w] modulo the base relations and the new
+        ones, so the emitted file is a cover of the quotient."""
+        problem, cover = self.write(tmp_path, "z1"), tmp_path / "cover.prob"
+        code, out = invoke(capsys, "fppf", problem, "--pair", "1", "--emit", str(cover))
+        assert code == 0
+        assert "relation1: z2\nrelation2: z2*w - z1 + w\n" in out
+        lines = cover.read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("relation")] == \
+            ["relation z2", "relation z2*w - z1 + w"]
+        code, out = invoke(capsys, "check-pair", str(cover), "--pair", "1")
+        assert code == 0 and "identity: pass" in out

@@ -7,15 +7,16 @@ from pairkit import gbasis
 from pairkit.errors import AlgebraError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.gbasis import (Ideal, buchberger, eliminate, groebner,
-                              ideal_dimension, ideals_equal, normal_form,
-                              poly_divmod, saturate)
+                              ideal_dimension, ideals_equal, lead_dimension,
+                              normal_form, poly_divmod, saturate)
 from pairkit.invariants import NagataSpec, nagata_build
 from pairkit.orders import BlockOrder
 from pairkit.pairs import graph_ideal, pair_from_problem
 from pairkit.poly import PolyRing
 from pairkit.problem import parse_problem
 
-from oracles import in_ideal_bruteforce, random_polynomial
+from oracles import (in_ideal_bruteforce, lead_dimension_by_subsets,
+                     random_polynomial)
 
 
 @pytest.fixture()
@@ -166,6 +167,32 @@ class TestIdealDimension:
 
     def test_unit(self, R):
         assert ideal_dimension(Ideal(R, [R.one()])) == -1
+
+    def test_zero_dimensional_in_many_variables(self):
+        """<t_1, ..., t_21>, the kernel ideal of U_7's identity: 2^21 subsets
+        for a search over all of them, one branch for the hitting set."""
+        R = PolyRing([f"t{i}" for i in range(1, 22)], QQ)
+        assert ideal_dimension(Ideal(R, R.gens())) == 0
+
+    def test_hitting_set_matches_subset_search(self):
+        """Seeded random lead sets in n <= 8 variables, with zero-dimensional
+        (a pure power of every variable) and unit (a constant lead) cases."""
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            leads = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                     for _ in range(rng.randint(0, 6))]
+            roll = rng.random()
+            if roll < 0.15:
+                leads += [tuple(rng.randint(1, 3) * (i == j) for i in range(n))
+                          for j in range(n)]
+            elif roll < 0.2:
+                leads.append((0,) * n)
+            expected = lead_dimension_by_subsets(leads, n)
+            assert lead_dimension(leads, n) == expected, (n, leads)
+            seen.add(expected if expected <= 0 else "positive")
+        assert seen == {-1, 0, "positive"}
 
 
 class TestDivisionAndSaturation:

@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 
 from pairkit import invariants
+from pairkit.cli import mukai_predicate
 from pairkit.errors import AlgebraError, ValidationError
 from pairkit.fields import QQ
 from pairkit.gbasis import Ideal, ideals_equal
 from pairkit.invariants import (InvariantBasis, NagataSpec, cross_section_ideal,
                                 cross_section_report, dixmier_generators,
                                 factor_through_kernel, induced_problem,
-                                mukai_predicate, nagata_build,
-                                nagata_oracle_invariants, relations_presentation,
-                                verify_generators)
+                                nagata_build, nagata_oracle_invariants,
+                                relations_presentation, verify_generators)
 from pairkit.pairs import check_alpha_pair, pair_from_problem
 from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_problem, parse_rational, render_problem
@@ -312,6 +312,12 @@ class TestMukai:
                 if seen_false:
                     assert value is False
                 seen_false = seen_false or not value
+
+    def test_matches_the_rational_inequality(self):
+        for n in range(2, 40):
+            for r in range(1, n):
+                expected = Fraction(1, r) + Fraction(1, n - r) >= Fraction(1, 2)
+                assert mukai_predicate(n, r) is expected, (n, r)
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):

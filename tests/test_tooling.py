@@ -4,8 +4,9 @@ how the group law's product is wired and how alpha is applied is decided in
 `groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, only
 `cli.run` writes to stdout, `poly.py` does its coefficient arithmetic
 with Python's operators rather than per-term field calls, a pair's
-verdicts are set by `check_alpha_pair` alone, and a graph ideal is
-eliminated only on the routes the Jacobian certificate falls back to."""
+verdicts are set by `check_alpha_pair` alone, a graph ideal is
+eliminated only on the routes the Jacobian certificate falls back to, and
+`cli.py` and the package import no algebra module when they are loaded."""
 
 import ast
 import importlib
@@ -278,3 +279,52 @@ def test_graph_elimination_check_sees_every_form(tmp_path):
         "def other(ideal, keep):\n    return eliminate(ideal, keep)\n",
         encoding="utf-8")
     assert graph_eliminations(tmp_path) == {"mod.py:direct", "mod.py:named"}
+
+
+# the modules the CLI and the package may import when they are loaded
+START_UP = {"errors", "report"}
+
+
+def module_level_pairkit_imports(path):
+    """The pairkit modules a file imports when it is loaded: imports outside
+    function bodies, relative or through `pairkit.`."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and base.split(".")[0] != "pairkit":
+                base = None
+            elif node.level == 0:
+                base = base.removeprefix("pairkit").lstrip(".")
+            if base is not None:
+                found.extend([base] if base else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.extend(a.name.removeprefix("pairkit.") for a in node.names
+                         if a.name.startswith("pairkit."))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_cli_and_package_import_no_algebra_module_when_loaded():
+    """Each verb imports what it runs in its own body, so a call loads only
+    the modules its verb needs."""
+    src = ROOT / "src" / "pairkit"
+    assert set(module_level_pairkit_imports(src / "cli.py")) <= START_UP
+    assert module_level_pairkit_imports(src / "__init__.py") == []
+
+
+def test_module_level_import_check_sees_every_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import json\nfrom .errors import X\nfrom . import gbasis\n"
+                    "import pairkit.poly\nfrom pairkit.pairs import Y\n"
+                    "if True:\n    from .linalg import Z\n"
+                    "class C:\n    from .orders import GREVLEX\n"
+                    "def f():\n    from .invariants import W\n", encoding="utf-8")
+    assert module_level_pairkit_imports(path) == ["errors", "gbasis", "poly", "pairs",
+                                                  "linalg", "orders"]
