@@ -5,9 +5,11 @@ in the combined ring k[Z, coords]; a torus co-action stores one Laurent
 polynomial per space variable, as a weight -> polynomial map.
 """
 
+from math import prod
+
 from .errors import AlgebraError, ValidationError
 from .groups import GroupLaw
-from .poly import Polynomial, PolyRing, RationalFunction, fresh_names, power
+from .poly import Polynomial, PolyRing, RationalFunction, fresh_names, power, power_table
 from .report import Report
 
 
@@ -53,8 +55,6 @@ class CoAction:
         return RationalFunction(f.num.subs_poly(images), den)
 
     def is_invariant(self, f) -> bool:
-        if isinstance(f, Polynomial):
-            f = RationalFunction.from_poly(f)
         return self.pushforward(f) == f.cast(self.big_ring)
 
     def stabilizer_ideal(self, point) -> "Ideal":
@@ -128,10 +128,7 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {k + d: p for k, p in self.comps.items()})
 
     def at_one(self) -> Polynomial:
-        total = self.ring.zero()
-        for p in self.comps.values():
-            total = total + p
-        return total
+        return sum(self.comps.values(), self.ring.zero())
 
     def __add__(self, other):
         out = dict(self.comps)
@@ -212,7 +209,12 @@ class GmCoAction:
         """Substitute z_i -> v_i inside Laurent arithmetic."""
         if f.ring != self.ring:
             raise AlgebraError("polynomial lives in a different ring than the action")
-        return f._substitute(dict(zip(self.ring.names, self.v)), LaurentPoly.constant)
+        one = LaurentPoly.from_poly(self.ring.one())
+        tables = [power_table(v, d, one) for v, d in zip(self.v, map(max, zip(*f.terms)))]
+        terms = (prod((table[e] for table, e in zip(tables, exps) if e),
+                      start=LaurentPoly.constant(self.ring, c))
+                 for exps, c in f.terms.items())
+        return sum(terms, LaurentPoly.zero(self.ring))
 
     def __repr__(self):
         return f"GmCoAction on {self.ring!r}"
@@ -225,22 +227,16 @@ def validate_gm_action(action: GmCoAction) -> Report:
     report.check_equal("unit-axiom", [v.at_one() for v in action.v], action.ring.gens(),
                        action.ring.names)
 
-    compat_ok = True
-    compat_witness = None
-    for i, name in enumerate(action.ring.names):
+    witness = None
+    for name, v in zip(action.ring.names, action.v):
         lhs = {}
-        for d1, comp in action.v[i].comps.items():
-            pushed = action.pushforward_poly(comp)
-            for d2, p in pushed.comps.items():
-                key = (d1, d2)
-                lhs[key] = lhs[key] + p if key in lhs else p
-        lhs = {k: p for k, p in lhs.items() if not p.is_zero()}
-        rhs = {(d, d): p for d, p in action.v[i].comps.items()}
-        if lhs != rhs:
-            compat_ok = False
-            compat_witness = name
+        for d1, comp in v.comps.items():
+            for d2, p in action.pushforward_poly(comp).comps.items():
+                lhs[d1, d2] = lhs[d1, d2] + p if (d1, d2) in lhs else p
+        if {k: p for k, p in lhs.items() if p} != {(d, d): p for d, p in v.comps.items()}:
+            witness = name
             break
-    report.check("compatibility", compat_ok, compat_witness)
+    report.check("compatibility", witness is None, witness)
     return report
 
 

@@ -157,8 +157,8 @@ def cmd_trdeg(args) -> Report:
     report.info("equals-group-dim", "true" if degree == problem.group.s else "false")
     if problem.field.p is not None:
         report.info("separable", "true" if rank == degree else "false")
-        report.info("note", "Jacobian certificate refused over prime fields; "
-                    "elimination is authoritative")
+        report.info("note", "a full Jacobian rank certifies independence; "
+                    "a short one is settled by elimination")
     else:
         report.info("jacobian-rank", rank)
     return report

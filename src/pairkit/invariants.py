@@ -17,9 +17,9 @@ from .fields import QQ
 from .gbasis import Ideal, eliminate, groebner, normal_form, poly_divmod
 from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, formal_jacobian_rank
 from .orders import BlockOrder
-from .pairs import AlphaPair, graph_ideal, jacobian_certificate, kernel_acts_trivially
+from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
@@ -70,9 +70,7 @@ def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
     law = pair.law
     ring = action.ring
     b = law.invert_tuple(pair.fractions())
-    assignment = {name: RationalFunction.from_poly(ring.var(name))
-                  for name in ring.names}
-    assignment.update(dict(zip(law.coords, b)))
+    assignment = dict(zip(ring.names + law.coords, ring.gens() + b))
     f = [v.subs_rational(assignment) for v in action.v]
 
     for name, fi in zip(ring.names, f):
@@ -120,7 +118,7 @@ def relations_presentation(basis: InvariantBasis) -> Ideal:
     """
     graph, tags = graph_ideal(basis.f, "W")
     nonzero = [f for f in basis.f if not f.is_zero()]
-    if jacobian_certificate(nonzero) == len(nonzero):
+    if formal_jacobian_rank(nonzero) == len(nonzero):
         graph = Ideal(graph.ring, [graph.ring.var(tag)
                                    for tag, f in zip(tags, basis.f) if f.is_zero()])
     return eliminate(graph, tags)

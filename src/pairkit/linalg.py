@@ -129,12 +129,9 @@ def jacobian_matrix(functions, variables=None):
 
 def jacobian_rank(functions, variables=None) -> int:
     """The Jacobian rank in characteristic 0, where it equals the
-    transcendence degree of the functions.
-
-    Refused over prime fields.  There a full rank still certifies algebraic
-    independence, but a short rank does not prove dependence (d(z^p) = 0), so
-    the rank is not the transcendence degree; use `transcendence_degree`,
-    which eliminates whenever the rank falls short.
+    transcendence degree of the functions.  Refused over prime fields, where
+    a short rank proves nothing (see `formal_jacobian_rank`); use
+    `transcendence_degree`, which eliminates whenever the rank falls short.
     """
     if not functions:
         raise ValidationError("empty function list")
@@ -146,7 +143,17 @@ def jacobian_rank(functions, variables=None) -> int:
 
 
 def formal_jacobian_rank(functions, variables=None) -> int:
-    """Rank of the formal Jacobian in any characteristic.  Full rank
-    certifies algebraic independence (see `pairs.jacobian_certificate`); a
-    rank below the transcendence degree witnesses inseparability."""
-    return rational_matrix_rank(jacobian_matrix(functions, variables))
+    """Rank of the formal Jacobian of `functions` over k(z), in any
+    characteristic; 0 for none.
+
+    Full rank, len(functions), certifies that the functions are algebraically
+    independent, in every characteristic (k = Q and F_p are perfect).  Take a
+    relation P(f) = 0 of least degree.  Not every dP/dT_i is zero, or P would
+    be a p-th power; a nonzero one has lower degree, so it is nonzero at f;
+    and the chain rule sum_i dP/dT_i(f) * grad f_i = 0 then makes the rows
+    dependent.  Only the converse fails in characteristic p: z^p has rank 0
+    and is transcendental (Mittmann, Saxena & Scheiblechner, Trans. AMS 2014).
+    So a short rank certifies nothing, and the callers then eliminate; a rank
+    below the transcendence degree witnesses inseparability.
+    """
+    return rational_matrix_rank(jacobian_matrix(functions, variables)) if functions else 0

@@ -11,7 +11,7 @@ import math
 
 from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
-from .gbasis import Ideal, eliminate, groebner, ideal_dimension, normal_form
+from .gbasis import Ideal, eliminate, groebner, lead_dimension, normal_form
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
 from .linalg import formal_jacobian_rank
 from .orders import GREVLEX, BlockOrder
@@ -100,26 +100,14 @@ def graph_ideal(functions, tag: str, relations=None):
     return Ideal(big, gens + [rel.cast(big) for rel in relations or []]), tags
 
 
-def jacobian_certificate(functions) -> int:
-    """Rank of the formal Jacobian of `functions` over k(z); 0 for none.
-
-    Full rank, len(functions), certifies that the functions are algebraically
-    independent, in every characteristic (k = Q and F_p are perfect).  Take a
-    relation P(f) = 0 of least degree.  Not every dP/dT_i is zero, or P would
-    be a p-th power; a nonzero one has lower degree, so it is nonzero at f;
-    and the chain rule sum_i dP/dT_i(f) * grad f_i = 0 then makes the rows
-    dependent.  Only the converse fails in characteristic p: z^p has rank 0
-    and is transcendental (Mittmann, Saxena & Scheiblechner, Trans. AMS 2014).
-    So a short rank certifies nothing, and the callers then eliminate.
-    """
-    return formal_jacobian_rank(functions) if functions else 0
-
-
 def trdeg_by_elimination(functions, relations=None) -> int:
     """trdeg of k[functions] (modulo the relations) by elimination: the
-    dimension of the graph ideal's contraction to the tags T_i.  The
-    authoritative route, valid in any characteristic."""
-    return ideal_dimension(eliminate(*graph_ideal(functions, "T", relations)))
+    dimension of the graph ideal's contraction to the tags T_i, read off the
+    leads of its generators, a grevlex basis already.  The authoritative
+    route, valid in any characteristic."""
+    contraction = eliminate(*graph_ideal(functions, "T", relations))
+    return lead_dimension([p.leading(GREVLEX)[0] for p in contraction.gens],
+                          contraction.ring.nvars)
 
 
 def trdeg_and_rank(functions, relations=None) -> tuple[int, int]:
@@ -133,7 +121,7 @@ def trdeg_and_rank(functions, relations=None) -> tuple[int, int]:
     functions = list(functions)
     if not functions:
         raise ValidationError("transcendence degree of an empty list")
-    rank = jacobian_certificate(functions)
+    rank = formal_jacobian_rank(functions)
     if rank == len(functions) and not relations:
         return rank, rank
     degree = trdeg_by_elimination(functions, relations)

@@ -13,7 +13,9 @@ cross-multiplication, never by gcd canonical forms.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import prod
+from operator import mul
 
 from .errors import AlgebraError, ValidationError
 from .fields import FieldSpec
@@ -126,6 +128,12 @@ def power(base, n: int, one):
         if n:
             base = base * base
     return result
+
+
+def power_table(base, n: int, one) -> list:
+    """[one, base, base^2, ..., base^n] (base itself even for n = 0), each
+    power one multiplication from the last."""
+    return [one, *accumulate(repeat(base, n - 1), mul, initial=base)]
 
 
 def _mono_mul(a, b):
@@ -267,17 +275,21 @@ class Polynomial:
     def subs_poly(self, mapping: dict) -> "Polynomial":
         """Substitute polynomials for variables; every used variable must be
         mapped; all images share one ring."""
-        return self._substitute(mapping, PolyRing.const)
+        num, den = self._substitute(mapping)
+        if not den.is_one():
+            raise AlgebraError("subs_poly needs polynomial images; use subs_rational")
+        return num
 
     def subs_rational(self, mapping: dict) -> "RationalFunction":
-        """Substitute rational functions for variables (all used variables)."""
-        return self._substitute(mapping, RationalFunction.constant)
+        """Substitute polynomials or rational functions p_i/q_i: F/D, as in `_substitute`."""
+        return RationalFunction(*self._substitute(mapping))
 
-    def _substitute(self, mapping: dict, const):
-        """sum const(target, c) * prod mapping[name]^e over the terms, where
-        the images (polynomials, rational or Laurent functions) share the
-        ring `target` over this field and cover every used variable.  The
-        powers of each image are built once, by repeated multiplication."""
+    def _substitute(self, mapping: dict):
+        """(F, D) with this polynomial at the images p_i/q_i equal to F/D, for
+        F = sum c * prod p_i^e_i * q_i^(d_i - e_i) over the terms, D = prod
+        q_i^d_i, d_i the degree in z_i and q_i = 1 for a polynomial image.
+        The images share one ring over this field and cover every used
+        variable.  Each power is built once, and F is summed in one dict."""
         images = list(mapping.values())
         target = images[0].ring if images else self.ring
         if any(g.ring != target for g in images):
@@ -287,20 +299,23 @@ class Polynomial:
             raise ValidationError(f"unassigned variables in substitution: {sorted(missing)}")
         if target.field != self.ring.field:
             raise AlgebraError("substitution across different fields")
-        field = self.ring.field
-        one = const(target, field.one())
-        powers = {}
-        total = const(target, field.zero())
+        one = target.one()
+        p_powers = {}       # i -> [p_i^0..p_i^d_i]
+        q_powers = {}       # i -> (d_i, [q_i^0..q_i^d_i]), only where q_i != 1
+        for i, d in enumerate(map(max, zip(*self.terms))):
+            if d:
+                g = mapping[self.ring.names[i]]
+                rational = isinstance(g, RationalFunction)
+                p_powers[i] = power_table(g.num if rational else g, d, one)
+                if rational and not g.den.is_one():
+                    q_powers[i] = d, power_table(g.den, d, one)
+        sums = {}
         for exps, c in self.terms.items():
-            term = const(target, c)
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers.setdefault(i, [one, mapping[self.ring.names[i]]])
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * mapping[self.ring.names[i]])
-                    term = term * cache[e]
-            total = total + term
-        return total
+            factors = [p_powers[i][e] for i, e in enumerate(exps) if e]
+            factors += [qs[d - exps[i]] for i, (d, qs) in q_powers.items() if exps[i] < d]
+            for e, v in prod(factors, start=target.const(c)).terms.items():
+                sums[e] = sums[e] + v if e in sums else v
+        return _reduced(target, sums), prod((qs[d] for d, qs in q_powers.values()), start=one)
 
     # -- ring moves ----------------------------------------------------------------
 
@@ -509,9 +524,4 @@ def substitute(f: Polynomial, assignment: dict) -> RationalFunction:
     ring.  Substitution is a ring homomorphism, so the result's denominator
     divides a product of powers of the assigned denominators.
     """
-    mapping = {}
-    for name, value in assignment.items():
-        if isinstance(value, Polynomial):
-            value = RationalFunction.from_poly(value)
-        mapping[name] = value
-    return f.subs_rational(mapping)
+    return f.subs_rational(assignment)

@@ -107,10 +107,11 @@ class TestVerbs:
         assert code == 0
         assert "trdeg: 1" in out and "jacobian-rank: 1" in out
 
-    def test_trdeg_char_p_notes_refusal(self, capsys):
+    def test_trdeg_char_p_notes_the_route(self, capsys):
         code, out = invoke(capsys, "trdeg", path("e2.prob"), "--pair", "1")
         assert code == 0
-        assert "separable: true" in out and "refused" in out
+        assert "separable: true" in out and "\nnote: a full Jacobian rank certifies " \
+            "independence; a short one is settled by elimination\n" in out
 
     def test_factor_and_reuse(self, tmp_path, capsys):
         out_path = tmp_path / "induced.prob"

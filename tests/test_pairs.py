@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from pairkit.actions import CoAction
-from pairkit import pairs
+from pairkit import gbasis, pairs
 from pairkit.errors import InternalCheckError, ValidationError
 from pairkit.fields import QQ, FieldSpec
-from pairkit.gbasis import groebner, ideals_equal, Ideal, normal_form
+from pairkit.gbasis import (eliminate, groebner, ideal_dimension, ideals_equal, Ideal,
+                            normal_form)
 from pairkit.groups import Endomorphism
-from pairkit.linalg import jacobian_rank
+from pairkit.linalg import formal_jacobian_rank, jacobian_rank
 from pairkit.pairs import (AlphaPair, build_fppf_cover, check_alpha_pair,
-                           check_pair_identity, is_affine_stable,
-                           jacobian_certificate, kernel_acts_trivially,
-                           pair_from_problem, pedestal_ideal_from_pairs,
+                           check_pair_identity, graph_ideal, is_affine_stable,
+                           kernel_acts_trivially, pair_from_problem, pedestal_ideal_from_pairs,
                            transcendence_degree, trdeg_by_elimination)
 from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_polynomial
@@ -108,9 +108,10 @@ class TestJacobianCertificate:
             fs = [f for f in random_rational_tuple(ring, rng) if not f.is_zero()]
             if not fs:
                 continue
-            assert transcendence_degree(fs) == trdeg_by_elimination(fs), \
-                [f.text() for f in fs]
-            routes[jacobian_certificate(fs) != len(fs)] += 1
+            by_elimination = trdeg_by_elimination(fs)
+            assert transcendence_degree(fs) == by_elimination, [f.text() for f in fs]
+            assert by_elimination == ideal_dimension(eliminate(*graph_ideal(fs, "T")))
+            routes[formal_jacobian_rank(fs) != len(fs)] += 1
             compared += 1
         return routes
 
@@ -146,10 +147,29 @@ class TestJacobianCertificate:
     def test_only_a_short_rank_eliminates(self, p, texts, rank, degree, eliminations):
         ring = PolyRing(["z1", "z2"], FieldSpec.prime(p))
         fs = [RationalFunction.from_poly(parse_polynomial(t, ring)) for t in texts]
-        assert jacobian_certificate(fs) == rank
+        assert formal_jacobian_rank(fs) == rank
         assert transcendence_degree(fs) == degree
         assert len(eliminations) == (rank < len(fs))
         assert pairs.trdeg_by_elimination(fs) == degree
+
+    @pytest.mark.parametrize("field, texts, relations, degree", [
+        (QQ, ["z1", "z1^2"], [], 1),
+        (FieldSpec.prime(2), ["z1^2", "z2"], [], 2),
+        (FieldSpec.prime(7), ["z1", "z2"], ["z2 - z1^2"], 1),
+    ])
+    def test_elimination_runs_buchberger_once(self, monkeypatch, field, texts,
+                                              relations, degree):
+        """The eliminated generators are already a grevlex basis of the
+        contraction, so its dimension needs no second Buchberger run."""
+        ring = PolyRing(["z1", "z2"], field)
+        fs = [RationalFunction.from_poly(parse_polynomial(t, ring)) for t in texts]
+        relations = [parse_polynomial(t, ring) for t in relations]
+        calls = []
+        real = gbasis.buchberger
+        monkeypatch.setattr(gbasis, "buchberger",
+                            lambda *args: calls.append(args) or real(*args))
+        assert trdeg_by_elimination(fs, relations) == degree
+        assert len(calls) == 1
 
     def test_relations_always_eliminate(self, eliminations):
         R = PolyRing(["z1", "z2"], QQ)

@@ -78,6 +78,18 @@ class TestSubstitute:
                              "t1": rf(-z1), "t3": rf(-z3 + z1 * z2)})
         assert out.is_zero()
 
+    def test_one_denominator(self, R):
+        # z1^2 + z1 at p/q = z2/(z2 + 1) is (p^2 + p*q)/q^2: one denominator
+        # q^d, d = 2 the degree in z1
+        z1, z2 = R.gens()
+        out = (z1**2 + z1).subs_rational({"z1": RationalFunction(z2, z2 + R.one())})
+        assert out.text() == "(2*z2^2 + z2)/(z2^2 + 2*z2 + 1)"
+
+    def test_subs_poly_refuses_a_denominator(self, R):
+        z1, z2 = R.gens()
+        with pytest.raises(AlgebraError, match="polynomial images"):
+            z1.subs_poly({"z1": RationalFunction(z2, z2 + R.one())})
+
     def test_missing_assignment_rejected(self, R):
         f = R.var("z1") + R.var("z2")
         with pytest.raises(ValidationError):

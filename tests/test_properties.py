@@ -162,12 +162,19 @@ def test_subs_rational_agrees_with_evaluate(case, data):
     at = data.draw(points(field, TARGET))
     assume(all(d.evaluate(at) for d in dens.values()))
     mapping = {n: RationalFunction(images[n], dens[n]) for n in SOURCE}
+    # the same images, with a drawn subset of them left as polynomials
+    kept = data.draw(st.sets(st.sampled_from(SOURCE)))
+    mixed = {n: images[n] if n in kept else mapping[n] for n in SOURCE}
     f = data.draw(polynomials(source))
-    out = f.subs_rational(mapping)
-    inner = {n: field.div(images[n].evaluate(at), dens[n].evaluate(at)) for n in SOURCE}
-    den_value = out.den.evaluate(at)
-    assume(den_value)
-    assert field.div(out.num.evaluate(at), den_value) == f.evaluate(inner)
+    rational = {n: field.div(images[n].evaluate(at), dens[n].evaluate(at)) for n in SOURCE}
+    polynomial = {n: images[n].evaluate(at) for n in SOURCE}
+    for subs, inner in ((mapping, rational),
+                        (mixed, {n: polynomial[n] if n in kept else rational[n]
+                                 for n in SOURCE})):
+        out = f.subs_rational(subs)
+        den_value = out.den.evaluate(at)
+        assume(den_value)
+        assert field.div(out.num.evaluate(at), den_value) == f.evaluate(inner)
 
 
 @property_settings

@@ -3,7 +3,8 @@ lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
 `groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, only
 `cli.run` writes to stdout, `poly.py` does its coefficient arithmetic
-with Python's operators rather than per-term field calls, a pair's
+with Python's operators rather than per-term field calls and alone calls
+its one substitution kernel, a pair's
 verdicts are set by `check_alpha_pair` alone, a graph ideal is
 eliminated only on the routes the Jacobian certificate falls back to, and
 `cli.py` and the package import no algebra module when they are loaded."""
@@ -194,6 +195,32 @@ def test_polynomial_arithmetic_makes_no_per_term_field_calls():
     """Polynomial sums and products reduce mod p once per result, in
     `_reduced`; zero, one and inv stay field calls."""
     assert per_term_field_calls(ROOT / "src" / "pairkit" / "poly.py") == []
+
+
+def substitution_kernel(src_dir):
+    """(the modules that call `_substitute`, the parameter names of
+    `Polynomial._substitute`)."""
+    callers, params = set(), None
+    for path in sorted(src_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "_substitute":
+                callers.add(path.name)
+            if isinstance(node, ast.ClassDef) and node.name == "Polynomial":
+                params = [[a.arg for a in ast.walk(f.args) if isinstance(a, ast.arg)]
+                          for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "_substitute"]
+    return callers, params
+
+
+def test_one_substitution_kernel():
+    """Polynomial and rational images share one polynomial kernel with no
+    constructor knob, and no other module reaches into it: the torus
+    pushforward keeps its own loop."""
+    callers, params = substitution_kernel(ROOT / "src" / "pairkit")
+    assert callers == {"poly.py"}
+    assert params == [["self", "mapping"]]
 
 
 VERDICTS = {"verified", "quasi_principle", "principle"}
