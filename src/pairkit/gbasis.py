@@ -1,11 +1,11 @@
 """Ideals, the division algorithm, Buchberger's algorithm, elimination,
 and combinatorial Krull dimension.
 
-One heap reducer, `_reduce_dict`, does every reduction, in one of two lanes.
-The integer lane is Buchberger's over Q: primitive integer coefficients and
-fraction-free pseudo-reduction; the final interreduction restores monic
-coefficients.  The field lane does exact field operations and never scales:
-Buchberger uses it over F_p, and every division uses it over Q or F_p.
+One heap reducer, `_reduce_dict`, does every reduction in exact field
+arithmetic over Q or F_p.  Each divisor carries the inverse of its leading
+coefficient, so a reduction step multiplies once and never scales the
+dividend; Buchberger makes every basis element monic when it enters, so its
+S-polynomials and reductions need no scale factors at all.
 Buchberger pops the pair with the smallest lcm (ties by pair indices) and
 prunes by Gebauer-Moeller.  Live pairs sit in a dict (i, j) -> lcm; a heap of
 (order key of the lcm, i, j), each key computed once, orders them, and pairs
@@ -15,9 +15,7 @@ reproduce bit-identical bases.
 """
 
 import heapq
-from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 from .errors import AlgebraError
 from .orders import GREVLEX, BlockOrder
@@ -78,10 +76,10 @@ def poly_divmod(f: Polynomial, divisors, order=GREVLEX):
             raise AlgebraError("divisor in a different ring")
         if d.is_zero():
             raise AlgebraError("zero divisor in division algorithm")
-        rows.append((*d.leading(order), d.terms))
+        lead_exps, lead_coeff = d.leading(order)
+        rows.append((lead_exps, ring.field.inv(lead_coeff), d.terms))
     quotients = [{} for _ in rows]
-    remainder = _reduce_dict(f.terms, rows, order, _FieldArith(ring.field), True,
-                             quotients)
+    remainder = _reduce_dict(f.terms, rows, order, ring.field.p, True, quotients)
     return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
 
 
@@ -135,102 +133,31 @@ class _Top:
         return self.key > other.key
 
 
-class _IntArith:
-    """Buchberger's lane for Q: primitive integers, fraction-free, exact."""
+def _reduce_dict(f, divisors, order, p, full, quotients=None):
+    """Reduction of a coefficient dict against (lead exponents, inverse of
+    the lead coefficient, terms) divisors, largest monomial first, in exact
+    field arithmetic (p None over Q, else the prime of F_p).
 
-    fraction_free = True
-    p = None
-
-    @staticmethod
-    def from_field(terms):
-        den_lcm = 1
-        for c in terms.values():
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return {e: int(c * den_lcm) for e, c in terms.items()}
-
-    @staticmethod
-    def normalize(d, lead_exps):
-        content = 0
-        for c in d.values():
-            content = gcd(content, c)
-            if content == 1:
-                break
-        if d[lead_exps] < 0:
-            content = -content
-        if content != 1:
-            return {e: c // content for e, c in d.items()}
-        return d
-
-    @staticmethod
-    def elim_factors(f_lead, d_lead):
-        # scale*f_lead - factor*d_lead = 0 with the smallest integer pair
-        g0 = gcd(f_lead, d_lead)
-        return d_lead // g0, f_lead // g0
-
-    @staticmethod
-    def to_field(d):
-        return {e: Fraction(c) for e, c in d.items()}
-
-
-class _FieldArith:
-    """Field lane: exact field operations over Q or F_p, never scales."""
-
-    fraction_free = False
-
-    from_field = to_field = staticmethod(dict)    # coefficients stay field values
-
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-
-    def normalize(self, d, lead_exps):
-        inv = self.field.inv(d[lead_exps])
-        if inv == 1:
-            return d
-        return {e: self.field.mul(c, inv) for e, c in d.items()}
-
-    def elim_factors(self, f_lead, d_lead):
-        # over F_p the quotient is spelled out: it runs at every reduction step
-        p = self.p
-        if p is None:
-            return 1, self.field.div(f_lead, d_lead)
-        return 1, f_lead * pow(d_lead, -1, p) % p
-
-
-def _arith_for(field):
-    return _FieldArith(field) if field.p is not None else _IntArith()
-
-
-def _reduce_dict(f, divisors, order, arith, full, quotients=None):
-    """Reduction of a coefficient dict against (lead exponents, lead
-    coefficient, terms) divisors, largest monomial first.
-
-    Returns the remainder, up to a positive scalar in the integer lane; with
-    full=False only the leading term is guaranteed irreducible (enough for
-    basis building).  `quotients`, one dict per divisor (field lane only,
-    where nothing is scaled), receives shift -> factor at each subtraction;
-    the reduced monomial strictly decreases, so each (divisor, shift) pair
-    occurs once."""
+    Returns the remainder; with full=False only the leading term is
+    guaranteed irreducible (enough for basis building).  `quotients`, one
+    dict per divisor, receives shift -> factor at each subtraction; the
+    reduced monomial strictly decreases, so each (divisor, shift) pair occurs
+    once."""
     work = dict(f)
     heap = [_Top(order.key(e), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
-    p = arith.p
     while work and heap:
         top = heapq.heappop(heap)
         exps = top.exps
         if exps not in work:
             continue
         coeff = work[exps]
-        for i, (d_exps, d_lead, d_terms) in enumerate(divisors):
+        for i, (d_exps, d_lead_inv, d_terms) in enumerate(divisors):
             if _mono_divides(d_exps, exps):
-                scale, factor = arith.elim_factors(coeff, d_lead)
-                if scale != 1:
-                    for e in work:
-                        work[e] *= scale
-                    if remainder:
-                        for e in remainder:
-                            remainder[e] *= scale
+                factor = coeff * d_lead_inv
+                if p is not None:
+                    factor %= p
                 shift = _mono_div(exps, d_exps)
                 if quotients is not None:
                     quotients[i][shift] = factor
@@ -245,21 +172,6 @@ def _reduce_dict(f, divisors, order, arith, full, quotients=None):
                         work[e] = c
                     else:
                         work.pop(e, None)
-                if arith.fraction_free and work:
-                    content = 0
-                    for c in work.values():
-                        content = gcd(content, c)
-                        if content == 1:
-                            break
-                    for c in remainder.values():
-                        if content == 1:
-                            break
-                        content = gcd(content, c)
-                    if content > 1:
-                        for e in work:
-                            work[e] //= content
-                        for e in remainder:
-                            remainder[e] //= content
                 break
         else:
             if not full:
@@ -271,21 +183,17 @@ def _reduce_dict(f, divisors, order, arith, full, quotients=None):
     return remainder
 
 
-def _spoly_dict(f, g, order, arith):
-    """S-polynomial of two (lead exponents, lead coefficient, dict) triples."""
-    (fe, fc, fd) = f
-    (ge, gc, gd) = g
+def _spoly_dict(f, g, p):
+    """S-polynomial of two monic (lead exponents, 1, dict) triples."""
+    fe, _, fd = f
+    ge, _, gd = g
     lcm = _mono_lcm(fe, ge)
     uf = _mono_div(lcm, fe)
     ug = _mono_div(lcm, ge)
-    a, b = arith.elim_factors(fc, gc)
-    out = {}
-    for e, c in fd.items():
-        out[tuple(x + y for x, y in zip(e, uf))] = a * c
-    p = arith.p
+    out = {tuple(x + y for x, y in zip(e, uf)): c for e, c in fd.items()}
     for e, c in gd.items():
         key = tuple(x + y for x, y in zip(e, ug))
-        v = out.get(key, 0) - b * c
+        v = out.get(key, 0) - c
         if p is not None:
             v %= p
         if v:
@@ -301,32 +209,33 @@ def buchberger(gens, order=GREVLEX):
     if not gens:
         return []
     ring = gens[0].ring
-    arith = _arith_for(ring.field)
+    field = ring.field
+    p = field.p
 
-    basis = []       # (leading exponents, leading coefficient, coefficient dict)
+    basis = []       # monic (leading exponents, 1, coefficient dict)
     leads = []       # leading exponents, indexed like basis
     pairs = {}       # live pairs (i, j) -> lcm of their leads
     queue = []       # heap of (order key of the lcm, i, j); dead pairs stay in it
 
     def push(d):
         exps = max(d, key=order.key)
-        d = arith.normalize(d, exps)
-        basis.append((exps, d[exps], d))
+        d = Polynomial(ring, d).scale(field.inv(d[exps])).terms
+        basis.append((exps, field.one(), d))
         leads.append(exps)
         for i, t, lcm in _update_pairs(pairs, leads, len(leads) - 1):
             pairs[i, t] = lcm
             heapq.heappush(queue, (order.key(lcm), i, t))
 
     for g in gens:
-        push(arith.from_field(g.terms))
+        push(g.terms)
 
     while queue:
         _, i, j = heapq.heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue     # removed by the chain criterion
-        s = _spoly_dict(basis[i], basis[j], order, arith)
+        s = _spoly_dict(basis[i], basis[j], p)
         if s:
-            r = _reduce_dict(s, basis, order, arith, full=False)
+            r = _reduce_dict(s, basis, order, p, full=False)
             if r:
                 push(r)
 
@@ -339,11 +248,11 @@ def buchberger(gens, order=GREVLEX):
     reduced = []
     for i in kept:
         others = [basis[k] for k in kept if k != i]
-        d = _reduce_dict(basis[i][2], others, order, arith, full=True) if others \
+        # no other kept lead divides lead i, so it stays, with coefficient 1
+        d = _reduce_dict(basis[i][2], others, order, p, full=True) if others \
             else basis[i][2]
-        poly = Polynomial(ring, arith.to_field(d)).monic(order)
-        reduced.append(poly)
-    reduced.sort(key=lambda p: order.key(p.leading(order)[0]))
+        reduced.append(Polynomial(ring, d))
+    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
     return reduced
 
 
@@ -419,9 +328,3 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     contracted = eliminate(Ideal(big, gens), ring.names)
     return Ideal(ring, [g.cast(ring) for g in contracted.gens])
 
-
-def ideals_equal(a: Ideal, b: Ideal) -> bool:
-    ga = groebner(a)
-    gb = groebner(b)
-    return all(ga.contains(g) for g in b.nonzero_gens()) and \
-        all(gb.contains(g) for g in a.nonzero_gens())

@@ -105,20 +105,19 @@ def rational_matrix_rank(rows) -> int:
     return rank
 
 
-def jacobian_matrix(functions, variables=None):
-    """Rows = functions, columns = variables; entries d(num/den)/dz as
-    rational functions via the quotient rule."""
+def jacobian_matrix(functions):
+    """Rows = functions, columns = the ring's variables; entries
+    d(num/den)/dz as rational functions via the quotient rule."""
     if not functions:
         raise ValidationError("empty function list")
     ring = functions[0].ring
     for f in functions:
         if f.ring != ring:
             raise AlgebraError("functions live in different rings")
-    names = tuple(variables) if variables is not None else ring.names
     rows = []
     for f in functions:
         row = []
-        for name in names:
+        for name in ring.names:
             num_d = f.num.derivative(name)
             den_d = f.den.derivative(name)
             row.append(RationalFunction(num_d * f.den - f.num * den_d,
@@ -127,7 +126,7 @@ def jacobian_matrix(functions, variables=None):
     return rows
 
 
-def jacobian_rank(functions, variables=None) -> int:
+def jacobian_rank(functions) -> int:
     """The Jacobian rank in characteristic 0, where it equals the
     transcendence degree of the functions.  Refused over prime fields, where
     a short rank proves nothing (see `formal_jacobian_rank`); use
@@ -139,10 +138,10 @@ def jacobian_rank(functions, variables=None) -> int:
         raise UnsupportedMethodError(
             "jacobian_rank is refused over prime fields, where a short rank "
             "proves nothing; use the elimination-based transcendence degree")
-    return rational_matrix_rank(jacobian_matrix(functions, variables))
+    return rational_matrix_rank(jacobian_matrix(functions))
 
 
-def formal_jacobian_rank(functions, variables=None) -> int:
+def formal_jacobian_rank(functions) -> int:
     """Rank of the formal Jacobian of `functions` over k(z), in any
     characteristic; 0 for none.
 
@@ -156,4 +155,4 @@ def formal_jacobian_rank(functions, variables=None) -> int:
     So a short rank certifies nothing, and the callers then eliminate; a rank
     below the transcendence degree witnesses inseparability.
     """
-    return rational_matrix_rank(jacobian_matrix(functions, variables)) if functions else 0
+    return rational_matrix_rank(jacobian_matrix(functions)) if functions else 0

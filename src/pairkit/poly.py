@@ -98,8 +98,9 @@ class PolyRing:
         return PolyRing(self.names + tuple(extra_names), self.field)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing)
-                and self.names == other.names and self.field == other.field)
+        return other is self or (isinstance(other, PolyRing)
+                                 and self.names == other.names
+                                 and self.field == other.field)
 
     def __hash__(self):
         return hash((self.names, self.field))

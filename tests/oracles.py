@@ -1,11 +1,12 @@
 """Independent oracles the Groebner path is checked against: brute-force
 ideal membership by linear algebra over monomials up to a degree bound, the
-Krull dimension of a monomial ideal by trying every variable subset, and
-seeded random polynomial generation."""
+Krull dimension of a monomial ideal by trying every variable subset, ideal
+equality by mutual membership, and seeded random polynomial generation."""
 
 import random
 from itertools import combinations, product
 
+from pairkit.gbasis import Ideal, groebner
 from pairkit.linalg import ExactMatrix
 from pairkit.poly import Polynomial, PolyRing
 
@@ -56,6 +57,15 @@ def lead_dimension_by_subsets(leads, nvars: int) -> int:
             inside = set(subset)
             if all(any(e[i] for i in range(nvars) if i not in inside) for e in leads):
                 return size
+
+
+def ideals_equal(a: Ideal, b: Ideal) -> bool:
+    """Do a and b generate the same ideal?  Each generator of one reduces to
+    zero modulo the other's Groebner basis."""
+    ga = groebner(a)
+    gb = groebner(b)
+    return all(ga.contains(g) for g in b.nonzero_gens()) and \
+        all(gb.contains(g) for g in a.nonzero_gens())
 
 
 def random_polynomial(ring: PolyRing, rng: random.Random, degree: int,

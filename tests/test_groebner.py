@@ -7,7 +7,7 @@ from pairkit import gbasis
 from pairkit.errors import AlgebraError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.gbasis import (Ideal, buchberger, eliminate, groebner,
-                              ideal_dimension, ideals_equal, lead_dimension,
+                              ideal_dimension, lead_dimension,
                               normal_form, poly_divmod, saturate)
 from pairkit.invariants import NagataSpec, nagata_build
 from pairkit.orders import BlockOrder
@@ -15,7 +15,7 @@ from pairkit.pairs import graph_ideal, pair_from_problem
 from pairkit.poly import PolyRing
 from pairkit.problem import parse_problem
 
-from oracles import (in_ideal_bruteforce, lead_dimension_by_subsets,
+from oracles import (ideals_equal, in_ideal_bruteforce, lead_dimension_by_subsets,
                      random_polynomial)
 
 
@@ -258,12 +258,12 @@ class TestPairQueue:
         sequence, reductions = [], []
         spoly, reduce = gbasis._spoly_dict, gbasis._reduce_dict
 
-        def recording_spoly(f, g, order, arith):
+        def recording_spoly(f, g, p):
             sequence.append((f[0], g[0]))
-            return spoly(f, g, order, arith)
+            return spoly(f, g, p)
 
-        def counting_reduce(f, divisors, order, arith, full):
-            remainder = reduce(f, divisors, order, arith, full)
+        def counting_reduce(f, divisors, order, p, full):
+            remainder = reduce(f, divisors, order, p, full)
             if not full:
                 reductions.append(bool(remainder))
             return remainder

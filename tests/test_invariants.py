@@ -6,7 +6,7 @@ from pairkit import invariants
 from pairkit.cli import mukai_predicate
 from pairkit.errors import AlgebraError, ValidationError
 from pairkit.fields import QQ
-from pairkit.gbasis import Ideal, ideals_equal
+from pairkit.gbasis import Ideal
 from pairkit.invariants import (InvariantBasis, NagataSpec, cross_section_ideal,
                                 cross_section_report, dixmier_generators,
                                 factor_through_kernel, induced_problem,
@@ -17,6 +17,7 @@ from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_problem, parse_rational, render_problem
 
 from conftest import load
+from oracles import ideals_equal
 
 
 def verified_pair(problem, idx=1):

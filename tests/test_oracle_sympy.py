@@ -12,11 +12,19 @@ sympy = pytest.importorskip("sympy")
 from pairkit.fields import QQ, FieldSpec  # noqa: E402
 from pairkit.gbasis import Ideal, buchberger, eliminate  # noqa: E402
 from pairkit.poly import Polynomial, PolyRing  # noqa: E402
+from pairkit.problem import parse_polynomial  # noqa: E402
 
 from oracles import random_polynomial  # noqa: E402
 
 FIELDS = [QQ, FieldSpec.prime(2), FieldSpec.prime(7)]
 FIELD_IDS = ["Q", "F2", "F7"]
+
+# katsura-3 with one rational coefficient: its reduced basis over Q has
+# coefficients of up to 18 bits, where the random ideals stay small
+KATSURA_3 = ["x0 + 2*x1 + 2*x2 + 2*x3 - 1",
+             "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+             "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+             "x1^2 + 2*x0*x2 + 2*x1*x3 - 1/3*x2"]
 
 
 def to_sympy(f: Polynomial, symbols):
@@ -70,6 +78,9 @@ def test_reduced_grevlex_basis_matches_sympy(field):
         assert texts(buchberger(gens)) == texts(sympy_basis(gens, ring))
         checked += 1
     assert checked >= 10
+    ring = PolyRing(["x0", "x1", "x2", "x3"], field)
+    gens = [parse_polynomial(text, ring) for text in KATSURA_3]
+    assert texts(buchberger(gens)) == texts(sympy_basis(gens, ring))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -7,7 +7,7 @@ from pairkit.actions import CoAction
 from pairkit import gbasis, pairs
 from pairkit.errors import InternalCheckError, ValidationError
 from pairkit.fields import QQ, FieldSpec
-from pairkit.gbasis import (eliminate, groebner, ideal_dimension, ideals_equal, Ideal,
+from pairkit.gbasis import (eliminate, groebner, ideal_dimension, Ideal,
                             normal_form)
 from pairkit.groups import Endomorphism
 from pairkit.linalg import formal_jacobian_rank, jacobian_rank
@@ -19,7 +19,7 @@ from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_polynomial
 
 from conftest import PROBLEMS, load
-from oracles import random_rational_tuple
+from oracles import ideals_equal, random_rational_tuple
 from test_groups import vector_law
 
 

@@ -1,11 +1,11 @@
 """The benchmark's tracer rebinds pairkit functions by name; every name it
 lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
-`groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, only
-`cli.run` writes to stdout, `poly.py` does its coefficient arithmetic
-with Python's operators rather than per-term field calls and alone calls
-its one substitution kernel, a pair's
-verdicts are set by `check_alpha_pair` alone, a graph ideal is
+`groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, which
+imports neither `fractions` nor `math`, only `cli.run` writes to stdout,
+`poly.py` does its coefficient arithmetic with Python's operators rather
+than per-term field calls and alone calls its one substitution kernel, a
+pair's verdicts are set by `check_alpha_pair` alone, a graph ideal is
 eliminated only on the routes the Jacobian certificate falls back to, and
 `cli.py` and the package import no algebra module when they are loaded."""
 
@@ -154,6 +154,23 @@ def engine_offenders(src_dir):
 
 def test_only_gbasis_runs_buchberger_or_reduces():
     assert engine_offenders(ROOT / "src" / "pairkit") == []
+
+
+def imported_modules(path):
+    """The top-level names of the modules a file imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_reducer_has_one_lane():
+    """The reducer works in the coefficient field on monic divisors: no
+    fraction-free integer lane with its content gcds comes back."""
+    assert imported_modules(ROOT / "src" / "pairkit" / "gbasis.py") & {"fractions", "math"} == set()
 
 
 def stdout_writers(src_dir):
