@@ -175,7 +175,7 @@ def cmd_invariants(args) -> Report:
                     "quasi-principle pair")
         report.check("principle-required", False)
         return report
-    basis = dixmier_generators(problem.action, pair)
+    basis = dixmier_generators(problem.action, pair, problem.relations)
     for name, fi, num, e in zip(problem.ring.names, basis.f,
                                 basis.numerators, basis.powers):
         report.info(f"f[{name}]", fi.text())

@@ -19,7 +19,7 @@ from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
 from .linalg import ExactMatrix, formal_jacobian_rank
 from .orders import BlockOrder
-from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially
+from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially, residues
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
@@ -59,11 +59,11 @@ def _present_over_H(f: RationalFunction, H: Polynomial):
         f"of {f.num.text()}")
 
 
-def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
+def dixmier_generators(action: CoAction, pair: AlphaPair, relations=None) -> InvariantBasis:
     """f_i = v_i(Z, b) for b the group inverse of the pair tuple.
 
-    Every f_i must pass is_invariant (hard postcondition); the result also
-    carries the denominator-power bookkeeping and Hbar = prod h_i(f).
+    Every f_i must be invariant modulo the relations (hard postcondition); the
+    result also carries the denominator-power bookkeeping and Hbar = prod h_i(f).
     """
     if not pair.principle:
         raise ValidationError("dixmier_generators requires a verified principle pair")
@@ -73,8 +73,9 @@ def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
     assignment = dict(zip(ring.names + law.coords, ring.gens() + b))
     f = [v.subs_rational(assignment) for v in action.v]
 
-    for name, fi in zip(ring.names, f):
-        if not action.is_invariant(fi):
+    pushed = ((action.pushforward(fi), fi.cast(action.big_ring)) for fi in f)
+    for name, fi, diff in zip(ring.names, f, residues(pushed, relations)):
+        if not diff.is_zero():
             raise AlgebraError(
                 f"dixmier postcondition failed: f for {name} = {fi.text()} is not "
                 "invariant (the input pair or action is inconsistent)")

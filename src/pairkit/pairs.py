@@ -58,6 +58,20 @@ def pair_from_problem(problem: ProblemFile, idx: int) -> AlphaPair:
     return AlphaPair(alpha, g, h)
 
 
+def residues(pairs, relations=None):
+    """For each (lhs, rhs) in one ring, the cross-multiplied numerator of
+    lhs - rhs in normal form modulo the relations, zero exactly when lhs = rhs
+    holds modulo them; their basis is built at the first nonzero difference."""
+    basis = None
+    for lhs, rhs in pairs:
+        diff = lhs.num * rhs.den - rhs.num * lhs.den
+        if relations and not diff.is_zero():
+            ring = diff.ring
+            basis = basis or groebner(Ideal(ring, [r.cast(ring) for r in relations]), GREVLEX)
+            diff = normal_form(diff, basis)
+        yield diff
+
+
 def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
     """Compare (g_i/h_i)(w*x) against alpha(w) . (g_i/h_i)(x) componentwise.
 
@@ -66,16 +80,10 @@ def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
     """
     law = pair.law
     big = action.big_ring
-    rel_basis = groebner(Ideal(big, [r.cast(big) for r in relations]), GREVLEX) \
-        if relations else None
-    gh_tuple = [RationalFunction(g.cast(big), h.cast(big))
-                for g, h in zip(pair.g, pair.h)]
-    rhs = law.multiply_tuples(pair.alpha.apply(big.gens()[action.ring.nvars:]), gh_tuple)
-    for i in range(law.s):
-        lhs_i = action.pushforward(RationalFunction(pair.g[i], pair.h[i]))
-        diff = lhs_i.num * rhs[i].den - rhs[i].num * lhs_i.den
-        if rel_basis is not None and not diff.is_zero():
-            diff = normal_form(diff, rel_basis)
+    fractions = pair.fractions()
+    rhs = law.multiply_tuples(pair.alpha.apply(big.gens()[action.ring.nvars:]),
+                              [f.cast(big) for f in fractions])
+    for diff in residues(zip(map(action.pushforward, fractions), rhs), relations):
         if not diff.is_zero():
             return False, diff.text()
     return True, None
@@ -141,7 +149,11 @@ def transcendence_degree(functions, relations=None) -> int:
 def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
     """Scheme-theoretic test: every v_i - z_i must reduce to zero against the
     kernel ideal of alpha, coefficient-wise over k[Z] (so infinitesimal
-    kernels such as <t^2> are honored)."""
+    kernels such as <t^2> are honored).  For the identity it is the unit axiom
+    v_i(Z, 0) = z_i, checked here as callers need not run `validate_action`."""
+    if alpha.is_identity():
+        gens = action.ring.gens()
+        return action.apply(gens, [action.ring.zero()] * alpha.law.s) == gens
     big = action.big_ring
     kernel = [p.cast(big) for p in kernel_ideal(alpha.law, alpha).nonzero_gens()]
     front = [big.index(n) for n in alpha.law.coords]

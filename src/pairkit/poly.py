@@ -196,10 +196,6 @@ class Polynomial:
         exps = max(self.terms, key=order.key)
         return exps, self.terms[exps]
 
-    def homogeneous_part(self, degree: int) -> "Polynomial":
-        return Polynomial(self.ring, {e: c for e, c in self.terms.items()
-                                      if sum(e) == degree})
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check_ring(self, other):

@@ -1,13 +1,15 @@
 """Independent oracles the Groebner path is checked against: brute-force
 ideal membership by linear algebra over monomials up to a degree bound, the
 Krull dimension of a monomial ideal by trying every variable subset, ideal
-equality by mutual membership, and seeded random polynomial generation."""
+equality by mutual membership, the identity's kernel test on the Groebner
+route, and seeded random polynomial generation."""
 
 import random
 from itertools import combinations, product
 
-from pairkit.gbasis import Ideal, groebner
+from pairkit.gbasis import Ideal, groebner, normal_form
 from pairkit.linalg import ExactMatrix
+from pairkit.orders import BlockOrder
 from pairkit.poly import Polynomial, PolyRing
 
 
@@ -66,6 +68,18 @@ def ideals_equal(a: Ideal, b: Ideal) -> bool:
     gb = groebner(b)
     return all(ga.contains(g) for g in b.nonzero_gens()) and \
         all(gb.contains(g) for g in a.nonzero_gens())
+
+
+def identity_kernel_acts_trivially_by_groebner(action) -> bool:
+    """Does the kernel of the identity, <t_1..t_s>, act trivially?  Decided
+    on the Groebner route: the basis of <t_1..t_s> in k[Z, t] under the block
+    order t >> Z, and the normal forms of every v_i - z_i against it."""
+    big = action.big_ring
+    front = [big.index(name) for name in action.law.coords]
+    basis = groebner(Ideal(big, [big.var(name) for name in action.law.coords]),
+                     BlockOrder(front, big.nvars))
+    return all(normal_form(v - big.var(name), basis).is_zero()
+               for v, name in zip(action.v, action.ring.names))
 
 
 def random_polynomial(ring: PolyRing, rng: random.Random, degree: int,

@@ -453,6 +453,13 @@ class TestRelationLines:
         code, out = invoke(capsys, "pedestal", problem, "--which", "all")
         assert code == 0 and "pair1-verified: pass" in out
 
+    def test_invariants_are_invariant_modulo_the_relation(self, tmp_path, capsys):
+        """f for z1 is z1*z2/(1 + z2), invariant modulo <z2> only: its
+        invariance postcondition is judged in the quotient, like the pair."""
+        problem = self.write(tmp_path, "z1")
+        code, out = invoke(capsys, "invariants", problem, "--pair", "1")
+        assert code == 0 and "postcondition-invariant: pass" in out
+
     def test_pair_wrong_modulo_the_relation_fails(self, tmp_path, capsys):
         """2*z1/(1 + z2) leaves -z2^2*t + t, which is t modulo <z2>."""
         problem = self.write(tmp_path, "2*z1")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,59 @@ class TestValidateGroupLaw:
         law = GroupLaw(["t"], QQ, [m], [-cring.var("t")])
         report = validate_group_law(law)
         assert "associativity" in report.failures
+
+
+class TestIdentityLinesFixTheLinearPart:
+    """identity-left forces m_i(a, 0) = a_i and identity-right forces
+    m_i(0, b) = b_i, so together they force the degree-1 part of each m_i to
+    be a_i + b_i; the report needs no line of its own for it."""
+
+    @staticmethod
+    def random_law(field, rng):
+        a_names, b_names = mult_var_names(2)
+        mring = PolyRing(a_names + b_names, field)
+        cring = PolyRing(["t1", "t2"], field)
+        a, b = mring.gens()[:2], mring.gens()[2:]
+        pool = [lambda: rng.choice(a), lambda: rng.choice(b),
+                lambda: rng.choice(a) * rng.choice(a), lambda: rng.choice(b) ** 2,
+                lambda: rng.choice(a) * rng.choice(b), lambda: mring.one()]
+        mult = []
+        for i in range(2):
+            m = a[i] + b[i]
+            for _ in range(rng.randint(0, 2)):
+                # mixed a*b terms keep both identity lines; the rest break one
+                term = pool[4]() if rng.random() < 0.5 else rng.choice(pool)()
+                m = m + term.scale(field.from_int(rng.choice([-3, -1, 1, 2, 3])))
+            mult.append(m)
+        return GroupLaw(["t1", "t2"], field, mult, [-g for g in cring.gens()]), a, b
+
+    @pytest.mark.parametrize("field", [QQ, F2, FieldSpec.prime(5)], ids=["Q", "F2", "F5"])
+    def test_identity_lines_force_linear_part(self, field):
+        rng = random.Random(7 if field.p is None else field.p)
+        identities_held = 0
+        for _ in range(60):
+            law, a, b = self.random_law(field, rng)
+            failures = validate_group_law(law).failures
+            if "identity-left" in failures or "identity-right" in failures:
+                continue
+            identities_held += 1
+            for i, m in enumerate(law.mult):
+                linear = {e: c for e, c in m.terms.items() if sum(e) == 1}
+                assert linear == (a[i] + b[i]).terms, m.text()
+        assert 0 < identities_held < 60
+
+    def test_linear_part_law_fails_identity_right(self):
+        """The failing table's `linear-part` law, m_2 = a2 + 3*b2 + a1*b1 over
+        F_5, still fails: m_2(0, b) = 3*b2."""
+        F5 = FieldSpec.prime(5)
+        mring = PolyRing(["a1", "a2", "b1", "b2"], F5)
+        a1, a2, b1, b2 = mring.gens()
+        cring = PolyRing(["t1", "t2"], F5)
+        law = GroupLaw(["t1", "t2"], F5, [a1 + b1, a2 + b2.scale(3) + a1 * b1],
+                       [-g for g in cring.gens()])
+        report = validate_group_law(law)
+        assert "identity-right" in report.failures
+        assert "identity-left" not in report.failures
 
 
 class TestValidateEndomorphism:

@@ -19,8 +19,9 @@ from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_polynomial
 
 from conftest import PROBLEMS, load
-from oracles import ideals_equal, random_rational_tuple
-from test_groups import vector_law
+from oracles import (identity_kernel_acts_trivially_by_groebner, ideals_equal,
+                     random_polynomial, random_rational_tuple)
+from test_groups import heisenberg_law, vector_law
 
 
 class TestPairIdentity:
@@ -193,6 +194,37 @@ class TestKernelActsTrivially:
     def test_identity_kernel(self, e1):
         alpha = e1.group.identity_endomorphism()
         assert kernel_acts_trivially(e1.action, alpha)
+
+    @pytest.mark.parametrize("field", [QQ, FieldSpec.prime(2), FieldSpec.prime(5)],
+                             ids=["Q", "F2", "F5"])
+    def test_identity_agrees_with_the_groebner_route(self, field):
+        """For alpha the identity the test is the unit axiom v_i(Z, 0) = z_i;
+        the oracle reduces each v_i - z_i modulo <t_1..t_s> in k[Z, t].  The
+        co-actions are seeded perturbations z_i + p or z_i + t_j*p, valid
+        actions or not, plus the failing table's `action-unit` case."""
+        rng = random.Random(16 if field.p is None else field.p)
+        ring = PolyRing(["z1", "z2"], field)
+        line = vector_law(1, field)
+        big = PolyRing(["z1", "z2", "t"], field)
+        z1, z2, t = big.gens()
+        cases = [CoAction(line, ring, [z1 + t, z2 + big.one() + t * z1])]
+        for _ in range(30):
+            law = rng.choice([line, vector_law(2, field), heisenberg_law(field)])
+            big = PolyRing(ring.names + law.coords, field)
+            v = []
+            for z in big.gens()[:ring.nvars]:
+                shift = random_polynomial(big, rng, 2, 2)
+                if rng.random() < 0.6:
+                    shift = shift * big.var(rng.choice(law.coords))
+                v.append(z + shift)
+            cases.append(CoAction(law, ring, v))
+        verdicts = []
+        for action in cases:
+            alpha = action.law.identity_endomorphism()
+            verdict = kernel_acts_trivially(action, alpha)
+            assert verdict == identity_kernel_acts_trivially_by_groebner(action), action.v
+            verdicts.append(verdict)
+        assert not verdicts[0] and set(verdicts) == {True, False}
 
     def test_linear_action_with_frobenius_fails(self):
         # z2 -> z2 + t*z1 but alpha = t^2: t*z1 is not in <t^2>

@@ -6,14 +6,22 @@ imports neither `fractions` nor `math`, only `cli.run` writes to stdout,
 `poly.py` does its coefficient arithmetic with Python's operators rather
 than per-term field calls and alone calls its one substitution kernel, a
 pair's verdicts are set by `check_alpha_pair` alone, a graph ideal is
-eliminated only on the routes the Jacobian certificate falls back to, and
-`cli.py` and the package import no algebra module when they are loaded."""
+eliminated only on the routes the Jacobian certificate falls back to,
+`cli.py` and the package import no algebra module when they are loaded, and
+a principle pair without relations is checked without Buchberger."""
 
 import ast
 import importlib
 import importlib.util
 
-from conftest import ROOT
+import pytest
+
+from conftest import ROOT, load
+
+from pairkit import gbasis
+from pairkit.groups import validate_group_law
+from pairkit.pairs import check_alpha_pair, pair_from_problem
+from pairkit.problem import parse_problem
 
 
 def load_tracing():
@@ -372,3 +380,54 @@ def test_module_level_import_check_sees_every_form(tmp_path):
                     "def f():\n    from .invariants import W\n", encoding="utf-8")
     assert module_level_pairkit_imports(path) == ["errors", "gbasis", "poly", "pairs",
                                                   "linalg", "orders"]
+
+
+def unitriangular_problem(k):
+    """The left-regular action of U_k on itself, t_ij the matrix entries,
+    with the principle pair (z, 1)."""
+    idx = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    pos = {ij: n for n, ij in enumerate(idx, start=1)}
+    t = {ij: f"t{ij[0]}_{ij[1]}" for ij in idx}
+    z = {ij: f"z{ij[0]}_{ij[1]}" for ij in idx}
+    inverse = {}
+    for (i, j) in sorted(idx, key=lambda ij: ij[1] - ij[0]):
+        # m(x, t) = 0 solved for x_ij, entries of smaller gap first
+        inverse[i, j] = f"-{t[i, j]}" + "".join(
+            f" - ({inverse[i, l]})*{t[l, j]}" for l in range(i + 1, j))
+    lines = ["field Q", "ring " + " ".join(z.values()),
+             f"group dim {len(idx)} coords " + " ".join(t.values())]
+    lines += [f"mult {t[i, j]} = a{pos[i, j]} + b{pos[i, j]}" + "".join(
+        f" + a{pos[i, l]}*b{pos[l, j]}" for l in range(i + 1, j)) for (i, j) in idx]
+    lines += [f"inv {t[ij]} = {inverse[ij]}" for ij in idx]
+    lines += [f"act {z[i, j]} = {t[i, j]} + {z[i, j]}" + "".join(
+        f" + {t[i, l]}*{z[l, j]}" for l in range(i + 1, j)) for (i, j) in idx]
+    lines += [f"pair 1 g {z[ij]}" for ij in idx] + ["pair 1 h 1" for _ in idx]
+    return parse_problem("\n".join(lines) + "\n")
+
+
+@pytest.fixture()
+def buchberger_calls(monkeypatch):
+    calls = []
+    real = gbasis.buchberger
+    monkeypatch.setattr(gbasis, "buchberger",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["heisenberg.prob", "e1.prob", "ga2_q.prob", "U_5"])
+def test_principle_pair_check_runs_no_buchberger(name, buchberger_calls):
+    """With alpha the identity, no relations and a full Jacobian rank, the
+    surjectivity test, the pair identity, trdeg and the kernel test all
+    stand without a Groebner basis."""
+    problem = unitriangular_problem(5) if name == "U_5" else load(name)
+    assert validate_group_law(problem.group).passed
+    pair = pair_from_problem(problem, 1)
+    buchberger_calls.clear()
+    assert check_alpha_pair(problem.action, pair).passed and pair.principle
+    assert buchberger_calls == []
+
+
+def test_non_identity_alpha_still_reaches_buchberger(e2, buchberger_calls):
+    pair = pair_from_problem(e2, 1)
+    assert check_alpha_pair(e2.action, pair).passed and pair.quasi_principle
+    assert buchberger_calls
