@@ -187,7 +187,7 @@ def cmd_invariants(args) -> Report:
     if probes:
         report.merge(verify_generators(problem.action, basis, probes))
     if args.relations:
-        presentation = relations_presentation(basis)
+        presentation = relations_presentation(basis, problem.relations)
         gens = [g.text() for g in presentation.gens] or ["0"]
         for i, g in enumerate(gens, start=1):
             report.info(f"relation[{i}]", g)

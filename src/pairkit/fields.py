@@ -78,12 +78,6 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
-
     def mul(self, a, b):
         return (a * b) % self.p if self.p is not None else a * b
 

@@ -109,17 +109,18 @@ def verify_generators(action: CoAction, basis: InvariantBasis, probes) -> Report
     return report
 
 
-def relations_presentation(basis: InvariantBasis) -> Ideal:
-    """Kernel of W_i -> f_i: all relations among the generators, as the
-    contraction to k[W] of the graph ideal (which inverts the denominators).
+def relations_presentation(basis: InvariantBasis, relations=None) -> Ideal:
+    """Kernel of W_i -> f_i modulo the relations: all relations among the
+    generators in k[z]/I, as the contraction to k[W] of the graph ideal
+    (which inverts the denominators) plus I.
 
-    When the Jacobian certifies the nonzero f_i independent, that contraction
-    is <W_i : f_i = 0>; the small ideal is then eliminated instead, in the
-    same ring, and gives the same reduced basis.
+    Without relations, when the Jacobian certifies the nonzero f_i
+    independent, that contraction is <W_i : f_i = 0>; the small ideal is then
+    eliminated instead, in the same ring, and gives the same reduced basis.
     """
-    graph, tags = graph_ideal(basis.f, "W")
+    graph, tags = graph_ideal(basis.f, "W", relations)
     nonzero = [f for f in basis.f if not f.is_zero()]
-    if formal_jacobian_rank(nonzero) == len(nonzero):
+    if not relations and formal_jacobian_rank(nonzero) == len(nonzero):
         graph = Ideal(graph.ring, [graph.ring.var(tag)
                                    for tag, f in zip(tags, basis.f) if f.is_zero()])
     return eliminate(graph, tags)
@@ -293,10 +294,10 @@ class NagataSpec:
 def nagata_build(spec: NagataSpec) -> ProblemFile:
     """The Nagata action of the vector subgroup cut out by the points.
 
-    Group coordinates parameterize t = N*s for N the RREF nullspace basis of
-    the transposed point matrix; the emitted pair system takes the rows where
-    N is the identity block (the free-variable rows), which is principle with
-    no change of coordinates.
+    Group coordinates parameterize t = N*s for N the nullspace basis of the
+    transposed point matrix, which is the identity on the free columns; the
+    emitted pair system takes those rows of N (the free-variable rows), which
+    is principle with no change of coordinates.
     """
     n, r = spec.n, spec.r
     s = n - r
@@ -305,8 +306,7 @@ def nagata_build(spec: NagataSpec) -> ProblemFile:
     basis_vectors = transpose.nullspace()
     if len(basis_vectors) != s:
         raise ValidationError("point matrix does not have full rank")
-    _, pivots = transpose.rref()
-    free_rows = [i for i in range(n) if i not in set(pivots)]
+    free_rows = [i for i in range(n) if i not in transpose.pivots]
 
     ring = PolyRing([f"x{i}" for i in range(1, 2 * n + 1)], QQ)
     coord_names = fresh_names("s", s, ring.names)

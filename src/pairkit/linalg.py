@@ -1,15 +1,49 @@
-"""Exact linear algebra: RREF/nullspace over a coefficient field, and rank
-of matrices of rational functions (used by the Jacobian criterion)."""
+"""Exact linear algebra on one Gaussian elimination, `echelon`.
+
+It runs over every field the package uses: Q (`Fraction` entries), F_p
+(ints, reduced mod p) and the rational function field k(z)
+(`RationalFunction` entries).  `ExactMatrix` reads the rank and a nullspace
+basis off it, and the Jacobian criterion reads the rank of a matrix of
+rational functions."""
 
 from .errors import AlgebraError, UnsupportedMethodError, ValidationError
 from .fields import FieldSpec
 from .poly import RationalFunction
 
 
-class ExactMatrix:
-    """Dense matrix with exact entries from a FieldSpec."""
+def echelon(rows, inv, p=None):
+    """Forward Gaussian elimination on a copy of `rows`; returns (rows,
+    pivot columns).
 
-    __slots__ = ("field", "rows", "ncols")
+    The pivot of each column is its first nonzero entry at or below the rank
+    so far, and each lower row is cleared with factor = entry * inv(pivot).
+    `p` is the field's modulus over F_p, where each new row is reduced mod p
+    once, and None over Q and k(z).
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        pivot = rows[rank]
+        lower = [r for r in range(rank + 1, len(rows)) if rows[r][col]]
+        scale = inv(pivot[col]) if lower else None
+        for r in lower:
+            factor = rows[r][col] * scale
+            row = [a - factor * b for a, b in zip(rows[r], pivot)]
+            rows[r] = row if p is None else [v % p for v in row]
+        pivots.append(col)
+    return rows, pivots
+
+
+class ExactMatrix:
+    """Dense matrix with exact entries from a FieldSpec, eliminated once by
+    `echelon` when it is built."""
+
+    __slots__ = ("field", "rows", "ncols", "echelon_rows", "pivots")
 
     def __init__(self, field: FieldSpec, rows):
         rows = [list(r) for r in rows]
@@ -22,87 +56,37 @@ class ExactMatrix:
         self.field = field
         self.rows = rows
         self.ncols = width
+        self.echelon_rows, self.pivots = echelon(rows, field.inv, field.p)
 
     @property
     def nrows(self):
         return len(self.rows)
 
-    def rref(self):
-        """Reduced row echelon form (first-nonzero pivoting); returns
-        (rows, pivot column list)."""
-        field = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = None
-            for r in range(rank, len(rows)):
-                if rows[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            inv = field.inv(rows[rank][col])
-            rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    factor = rows[r][col]
-                    rows[r] = [field.sub(a, field.mul(factor, b))
-                               for a, b in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        return rows, pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.pivots)
 
     def nullspace(self):
         """Exact basis of the right null space, one vector per free column,
-        in ascending free-column order (deterministic)."""
-        rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        field = self.field
+        in ascending free-column order (deterministic): each vector has 1 on
+        its free column and 0 on the other free columns, which makes it
+        unique, and is back-substituted through the echelon rows."""
+        field, p, n = self.field, self.field.p, self.ncols
+        bottom_up = [(col, row, field.inv(row[col]))
+                     for col, row in zip(self.pivots, self.echelon_rows)][::-1]
         basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
+        for free in range(n):
+            if free in self.pivots:
                 continue
-            vec = [field.zero()] * self.ncols
+            vec = [field.zero()] * n
             vec[free] = field.one()
-            for r, pcol in enumerate(pivots):
-                vec[pcol] = field.neg(rows[r][free])
+            for col, row, scale in bottom_up:
+                value = -sum(a * b for a, b in zip(row[col + 1:], vec[col + 1:])) * scale
+                vec[col] = value if p is None else value % p
             basis.append(vec)
         return basis
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-def rational_matrix_rank(rows) -> int:
-    """Rank over the rational function field, by exact Gaussian elimination
-    with cross-multiplication zero tests."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col].is_zero():
-                continue
-            factor = work[r][col] / pivot
-            work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
 
 
 def jacobian_matrix(functions):
@@ -138,7 +122,7 @@ def jacobian_rank(functions) -> int:
         raise UnsupportedMethodError(
             "jacobian_rank is refused over prime fields, where a short rank "
             "proves nothing; use the elimination-based transcendence degree")
-    return rational_matrix_rank(jacobian_matrix(functions))
+    return formal_jacobian_rank(functions)
 
 
 def formal_jacobian_rank(functions) -> int:
@@ -155,4 +139,6 @@ def formal_jacobian_rank(functions) -> int:
     So a short rank certifies nothing, and the callers then eliminate; a rank
     below the transcendence degree witnesses inseparability.
     """
-    return rational_matrix_rank(jacobian_matrix(functions)) if functions else 0
+    if not functions:
+        return 0
+    return len(echelon(jacobian_matrix(functions), RationalFunction.inverse)[1])

@@ -431,6 +431,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self):
+        return bool(self.num)
+
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 

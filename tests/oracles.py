@@ -8,7 +8,6 @@ import random
 from itertools import combinations, product
 
 from pairkit.gbasis import Ideal, groebner, normal_form
-from pairkit.linalg import ExactMatrix
 from pairkit.orders import BlockOrder
 from pairkit.poly import Polynomial, PolyRing
 
@@ -44,8 +43,31 @@ def in_ideal_bruteforce(f: Polynomial, gens, degree: int) -> bool:
             matrix[index[exps]][j] = coeff
     for exps, coeff in f.terms.items():
         matrix[index[exps]][len(columns)] = coeff
-    _, pivots = ExactMatrix(ring.field, matrix).rref()
-    return len(columns) not in pivots
+    return not _last_column_is_pivot(matrix, ring.field.p)
+
+
+def _last_column_is_pivot(matrix, p):
+    """Gauss-Jordan over Fractions (p None) or ints mod p, written apart from
+    `pairkit.linalg`: each column's pivot is any unused row nonzero there, and
+    it is cleared from every other row.  The system with the last column as
+    right-hand side is inconsistent iff that column gets a pivot."""
+    inverse = (lambda a: 1 / a) if p is None else (lambda a: pow(a, -1, p))
+    used, last = set(), len(matrix[0]) - 1
+    for col in range(last + 1):
+        pivot = next((r for r, row in enumerate(matrix) if r not in used and row[col]), None)
+        if pivot is None:
+            continue
+        if col == last:
+            return True
+        used.add(pivot)
+        scale = inverse(matrix[pivot][col])
+        top = [a * scale for a in matrix[pivot]]
+        for r, row in enumerate(matrix):
+            if r != pivot and row[col]:
+                matrix[r] = [a - row[col] * b for a, b in zip(row, top)]
+                if p is not None:
+                    matrix[r] = [a % p for a in matrix[r]]
+    return False
 
 
 def lead_dimension_by_subsets(leads, nvars: int) -> int:

@@ -460,6 +460,24 @@ class TestRelationLines:
         code, out = invoke(capsys, "invariants", problem, "--pair", "1")
         assert code == 0 and "postcondition-invariant: pass" in out
 
+    def test_relations_presentation_works_modulo_the_relation(self, tmp_path, capsys):
+        """f[z2] = z2 lies in <z2>, so W2 is a relation, and then so is W1:
+        f[z1] = z1*z2/(1 + z2) is a multiple of z2."""
+        problem = self.write(tmp_path, "z1")
+        code, out = invoke(capsys, "invariants", problem, "--pair", "1", "--relations")
+        assert code == 0 and "relation[1]: W2\nrelation[2]: W1\nstatus: ok" in out
+
+    def test_relations_presentation_of_an_fppf_cover(self, tmp_path, capsys):
+        """On the e2 cover, f[w] = 0 and f[z2] = z1*w^2 + z2 lies in the
+        cover's relation ideal, so both W3 and W2 are relations."""
+        cover = tmp_path / "cover.prob"
+        code, _ = invoke(capsys, "fppf", path("e2.prob"), "--pair", "1",
+                         "--emit", str(cover))
+        assert code == 0
+        code, out = invoke(capsys, "invariants", str(cover), "--pair", "1", "--relations")
+        assert code == 0 and "f[z2]: z1*w^2 + z2\n" in out
+        assert "relation[1]: W3\nrelation[2]: W2\nstatus: ok" in out
+
     def test_pair_wrong_modulo_the_relation_fails(self, tmp_path, capsys):
         """2*z1/(1 + z2) leaves -z2^2*t + t, which is t modulo <z2>."""
         problem = self.write(tmp_path, "2*z1")

@@ -3,8 +3,9 @@ lists must still resolve, or `perfbench/run.py --trace 1` breaks.  Also:
 how the group law's product is wired and how alpha is applied is decided in
 `groups.py` alone, only `gbasis.py` runs Buchberger or the reducer, which
 imports neither `fractions` nor `math`, only `cli.run` writes to stdout,
-`poly.py` does its coefficient arithmetic with Python's operators rather
-than per-term field calls and alone calls its one substitution kernel, a
+`poly.py` and `linalg.py` do their coefficient arithmetic with Python's
+operators rather than per-term field calls, `poly.py` alone calls its one
+substitution kernel, `linalg.echelon` is the one row elimination, a
 pair's verdicts are set by `check_alpha_pair` alone, a graph ideal is
 eliminated only on the routes the Jacobian certificate falls back to,
 `cli.py` and the package import no algebra module when they are loaded, and
@@ -218,8 +219,52 @@ def per_term_field_calls(path):
 
 def test_polynomial_arithmetic_makes_no_per_term_field_calls():
     """Polynomial sums and products reduce mod p once per result, in
-    `_reduced`; zero, one and inv stay field calls."""
-    assert per_term_field_calls(ROOT / "src" / "pairkit" / "poly.py") == []
+    `_reduced`, and `linalg.echelon` once per new row; zero, one and inv
+    stay field calls."""
+    for module in ("poly.py", "linalg.py"):
+        assert per_term_field_calls(ROOT / "src" / "pairkit" / module) == []
+
+
+def row_swappers(src_dir):
+    """The functions, as "module:function", holding a swap of two
+    subscripts of one sequence, `x[i], x[j] = x[j], x[i]`."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Assign) and _is_swap(node) for node in ast.walk(func)):
+                found.append(f"{path.name}:{func.name}")
+    return found
+
+
+def _is_swap(node):
+    """One tuple target of two subscripts of one sequence, assigned the
+    same two subscripts in reverse order."""
+    if len(node.targets) != 1:
+        return False
+    target, value = node.targets[0], node.value
+    if not all(isinstance(t, ast.Tuple) and len(t.elts) == 2
+               and all(isinstance(e, ast.Subscript) for e in t.elts) for t in (target, value)):
+        return False
+    first, second = target.elts
+    return ast.unparse(first.value) == ast.unparse(second.value) and \
+        [ast.unparse(e) for e in value.elts] == [ast.unparse(second), ast.unparse(first)]
+
+
+def test_echelon_is_the_only_row_elimination():
+    """`ExactMatrix` and the Jacobian rank share one Gaussian elimination,
+    so no second one grows back."""
+    assert row_swappers(ROOT / "src" / "pairkit") == ["linalg.py:echelon"]
+
+
+def test_row_swap_check_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def swap(m, i, j):\n    m[i], m[j] = m[j], m[i]\n"
+        "class M:\n    def nested(self, r):\n        if r:\n"
+        "            self.rows[r], self.rows[0] = self.rows[0], self.rows[r]\n"
+        "def entries(w, r):\n    w[r][0], w[0][0] = w[0][0], w[r][0]\n"
+        "def copy(m, n):\n    m[0], m[1] = n[0], n[1]\n", encoding="utf-8")
+    assert row_swappers(tmp_path) == ["mod.py:swap", "mod.py:nested"]
 
 
 def substitution_kernel(src_dir):
