@@ -1,15 +1,16 @@
 """Co-actions of unipotent groups and of the multiplicative torus.
 
 A unipotent co-action stores one polynomial v_i(Z, Y) per space variable,
-in the combined ring k[Z, coords]; a torus co-action stores one Laurent
-polynomial per space variable, as a weight -> polynomial map.
+in the combined ring k[Z, coords].  A torus co-action stores one Laurent
+polynomial per space variable, as the rational function F / w^k of
+k[Z, w] (w last, F not divisible by w unless k = 0), so it runs on the same
+substitution kernel and the same identity checks; `laurent_components`
+reads off its weights.
 """
-
-from math import prod
 
 from .errors import AlgebraError, ValidationError
 from .groups import GroupLaw
-from .poly import Polynomial, PolyRing, RationalFunction, fresh_names, power, power_table
+from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .report import Report
 
 
@@ -100,98 +101,38 @@ def validate_action(action: CoAction) -> Report:
 # -- torus (Laurent) actions ---------------------------------------------------
 
 
-class LaurentPoly:
-    """Finite weight -> Polynomial map: sum_d comps[d] * w^d."""
+def laurent_components(f: RationalFunction, ring: PolyRing) -> dict:
+    """Weight d -> the coefficient of w^d, a polynomial of `ring`, for the
+    Laurent polynomial f = F / w^k of ring.extend(["w"]) (w last): the
+    coefficient of w^(d+k) in F, in ascending order of d."""
+    ((den, _),) = f.den.terms.items()       # the monic w^k
+    comps = {}
+    for exps, c in f.num.terms.items():
+        comps.setdefault(exps[-1] - den[-1], {})[exps[:-1]] = c
+    return {d: Polynomial(ring, comps[d]) for d in sorted(comps)}
 
-    __slots__ = ("ring", "comps")
 
-    def __init__(self, ring: PolyRing, comps: dict):
-        self.ring = ring
-        self.comps = {d: p for d, p in comps.items() if not p.is_zero()}
-
-    @staticmethod
-    def from_poly(p: Polynomial, weight: int = 0) -> "LaurentPoly":
-        return LaurentPoly(p.ring, {weight: p})
-
-    @staticmethod
-    def zero(ring: PolyRing) -> "LaurentPoly":
-        return LaurentPoly(ring, {})
-
-    @staticmethod
-    def constant(ring: PolyRing, value) -> "LaurentPoly":
-        return LaurentPoly.from_poly(ring.const(value))
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def shift(self, d: int) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {k + d: p for k, p in self.comps.items()})
-
-    def at_one(self) -> Polynomial:
-        return sum(self.comps.values(), self.ring.zero())
-
-    def __add__(self, other):
-        out = dict(self.comps)
-        for d, p in other.comps.items():
-            out[d] = out[d] + p if d in out else p
-        return LaurentPoly(self.ring, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.ring, {d: -p for d, p in self.comps.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for d1, p1 in self.comps.items():
-            for d2, p2 in other.comps.items():
-                d = d1 + d2
-                prod = p1 * p2
-                out[d] = out[d] + prod if d in out else prod
-        return LaurentPoly(self.ring, out)
-
-    def __pow__(self, n: int):
-        base = self
-        if n < 0:
-            # only units c*w^d are invertible
-            if len(self.comps) != 1 or not self.at_one().is_constant():
-                raise AlgebraError("negative power of a non-unit Laurent polynomial")
-            ((d, p),) = self.comps.items()
-            c = self.ring.field.inv(p.constant_value())
-            base, n = LaurentPoly(self.ring, {-d: self.ring.const(c)}), -n
-        return power(base, n, LaurentPoly.from_poly(self.ring.one()))
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.ring == other.ring \
-            and self.comps == other.comps
-
-    def weights(self):
-        return sorted(self.comps)
-
-    def text(self) -> str:
-        if not self.comps:
-            return "0"
-        parts = []
-        for d in sorted(self.comps):
-            poly = self.comps[d]
-            if d == 0:
-                parts.append(poly.text())
-                continue
-            w = "w" if d == 1 else f"w^{d}"
-            body = poly.text()
-            if body == "1":
-                parts.append(w)
-            elif len(poly.terms) == 1:
-                parts.append(f"{w}*{body}" if not body.startswith("-")
-                             else f"-{w}*{body[1:]}")
-            else:
-                parts.append(f"{w}*({body})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<{self.text()}>"
+def laurent_text(f: RationalFunction, ring: PolyRing) -> str:
+    """Canonical text of a Laurent polynomial: its weight components in
+    ascending order, each as `w^d*(...)`, a bare component for d = 0."""
+    parts = []
+    for d, poly in laurent_components(f, ring).items():
+        body = poly.text()
+        w = "w" if d == 1 else f"w^{d}"
+        if d == 0:
+            parts.append(body)
+        elif body == "1":
+            parts.append(w)
+        elif len(poly.terms) == 1:
+            parts.append(f"-{w}*{body[1:]}" if body.startswith("-") else f"{w}*{body}")
+        else:
+            parts.append(f"{w}*({body})")
+    return " + ".join(parts) or "0"
 
 
 class GmCoAction:
-    """Torus co-action: one Laurent polynomial per ring variable."""
+    """Torus co-action: one Laurent polynomial F / w^k of k[Z, w] per ring
+    variable, w the ring's last variable."""
 
     __slots__ = ("ring", "v")
 
@@ -202,40 +143,39 @@ class GmCoAction:
         self.ring = ring
         self.v = v
 
-    def v_for(self, name: str) -> LaurentPoly:
+    def v_for(self, name: str) -> RationalFunction:
         return self.v[self.ring.index(name)]
 
-    def pushforward_poly(self, f: Polynomial) -> LaurentPoly:
-        """Substitute z_i -> v_i inside Laurent arithmetic."""
+    def apply(self, z, w):
+        """v(z, w): the co-action fractions with the space variables replaced
+        by the tuple z and the weight variable by w."""
+        images = dict(zip(self.ring.names, z), w=w)
+        return [p.subs_rational(images) for p in self.v]
+
+    def pushforward_poly(self, f: Polynomial) -> RationalFunction:
+        """f(v(Z, w)), the Laurent polynomial F / w^k of k[Z, w]."""
         if f.ring != self.ring:
             raise AlgebraError("polynomial lives in a different ring than the action")
-        one = LaurentPoly.from_poly(self.ring.one())
-        tables = [power_table(v, d, one) for v, d in zip(self.v, map(max, zip(*f.terms)))]
-        terms = (prod((table[e] for table, e in zip(tables, exps) if e),
-                      start=LaurentPoly.constant(self.ring, c))
-                 for exps, c in f.terms.items())
-        return sum(terms, LaurentPoly.zero(self.ring))
+        return f.subs_rational(dict(zip(self.ring.names, self.v)))
 
     def __repr__(self):
         return f"GmCoAction on {self.ring!r}"
 
 
 def validate_gm_action(action: GmCoAction) -> Report:
-    """Unit axiom v_i(Z, 1) = z_i and torus compatibility
-    v_i(v(Z, w2), w1) = v_i(Z, w1*w2), checked on bi-weight components."""
+    """Unit axiom v(Z, 1) = Z and torus compatibility
+    v(v(Z, w2), w1) = v(Z, w1*w2), each one identity of fractions; the
+    compatibility witness is the first differing variable."""
     report = Report("gm-action")
-    report.check_equal("unit-axiom", [v.at_one() for v in action.v], action.ring.gens(),
-                       action.ring.names)
+    ring = action.ring
+    report.check_equal("unit-axiom", action.apply(ring.gens(), ring.one()), ring.gens(),
+                       ring.names)
 
-    witness = None
-    for name, v in zip(action.ring.names, action.v):
-        lhs = {}
-        for d1, comp in v.comps.items():
-            for d2, p in action.pushforward_poly(comp).comps.items():
-                lhs[d1, d2] = lhs[d1, d2] + p if (d1, d2) in lhs else p
-        if {k: p for k, p in lhs.items() if p} != {(d, d): p for d, p in v.comps.items()}:
-            witness = name
-            break
+    ext = ring.extend(fresh_names("w", 2, ring.names))
+    *Z, w1, w2 = ext.gens()
+    lhs = action.apply(action.apply(Z, w2), w1)
+    rhs = action.apply(Z, w1 * w2)
+    witness = next((n for n, a, b in zip(ring.names, lhs, rhs) if a != b), None)
     report.check("compatibility", witness is None, witness)
     return report
 
@@ -246,27 +186,29 @@ def gm_weight_components(action: GmCoAction, f) -> dict:
     Polynomials always decompose; a rational function decomposes only when
     its denominator is itself a semi-invariant (single weight)."""
     if isinstance(f, Polynomial):
-        return dict(sorted(action.pushforward_poly(f).comps.items()))
+        return laurent_components(action.pushforward_poly(f), action.ring)
     if not isinstance(f, RationalFunction):
         raise ValidationError("expected a polynomial or rational function")
-    den_comps = action.pushforward_poly(f.den).comps
+    den_comps = laurent_components(action.pushforward_poly(f.den), action.ring)
     if len(den_comps) != 1:
         raise AlgebraError("denominator is not a semi-invariant; "
                            "no weight decomposition exists")
-    ((dw, _),) = den_comps.items()
-    num_comps = action.pushforward_poly(f.num).comps
-    return {q - dw: RationalFunction(p, f.den) for q, p in sorted(num_comps.items())}
+    (dw,) = den_comps
+    num_comps = laurent_components(action.pushforward_poly(f.num), action.ring)
+    return {q - dw: RationalFunction(p, f.den) for q, p in num_comps.items()}
 
 
 def is_semi_invariant(action: GmCoAction, g: Polynomial, h: Polynomial,
                       e: int, q: int) -> bool:
     """Whether g/h^e scales exactly by w^q under the torus action, that is
-    pushforward(g)*h^e = g*pushforward(h)^e*w^q; both e-th powers are taken
-    by squaring, so h^e is never pushed forward."""
+    pushforward(g)*h^e = g*pushforward(h)^e*w^q as fractions of k[Z, w];
+    both e-th powers are taken by squaring, so h^e is never pushed
+    forward."""
     if h.is_zero():
         raise ValidationError("h must be nonzero")
     if e < 0:
         raise ValidationError("e must be non-negative")
-    lhs = action.pushforward_poly(g) * LaurentPoly.from_poly(h) ** e
-    rhs = (LaurentPoly.from_poly(g) * action.pushforward_poly(h) ** e).shift(q)
-    return lhs == rhs
+    ext = action.ring.extend(["w"])
+    w = RationalFunction.from_poly(ext.var("w"))
+    return action.pushforward_poly(g) * h.cast(ext) ** e == \
+        action.pushforward_poly(h) ** e * g.cast(ext) * w ** q

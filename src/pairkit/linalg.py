@@ -91,7 +91,8 @@ class ExactMatrix:
 
 def jacobian_matrix(functions):
     """Rows = functions, columns = the ring's variables; entries
-    d(num/den)/dz as rational functions via the quotient rule."""
+    d(num/den)/dz as rational functions via the quotient rule, or d(num)/dz
+    for a polynomial row (den = 1)."""
     if not functions:
         raise ValidationError("empty function list")
     ring = functions[0].ring
@@ -100,13 +101,12 @@ def jacobian_matrix(functions):
             raise AlgebraError("functions live in different rings")
     rows = []
     for f in functions:
-        row = []
-        for name in ring.names:
-            num_d = f.num.derivative(name)
-            den_d = f.den.derivative(name)
-            row.append(RationalFunction(num_d * f.den - f.num * den_d,
-                                        f.den * f.den))
-        rows.append(row)
+        if f.den.is_one():
+            rows.append([RationalFunction.from_poly(f.num.derivative(z)) for z in ring.names])
+            continue
+        den2 = f.den * f.den
+        rows.append([RationalFunction(f.num.derivative(z) * f.den - f.num * f.den.derivative(z),
+                                      den2) for z in ring.names])
     return rows
 
 

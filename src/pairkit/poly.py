@@ -13,9 +13,7 @@ cross-multiplication, never by gcd canonical forms.
 """
 
 from fractions import Fraction
-from itertools import accumulate, repeat
 from math import prod
-from operator import mul
 
 from .errors import AlgebraError, ValidationError
 from .fields import FieldSpec
@@ -131,10 +129,16 @@ def power(base, n: int, one):
     return result
 
 
-def power_table(base, n: int, one) -> list:
-    """[one, base, base^2, ..., base^n] (base itself even for n = 0), each
-    power one multiplication from the last."""
-    return [one, *accumulate(repeat(base, n - 1), mul, initial=base)]
+def powers(base, exponents, one) -> dict:
+    """{e: base^e} for exactly the given exponents.  They are built in
+    ascending order: a power one above the last costs one multiplication,
+    and a gap is bridged by `power`."""
+    out, last, value = {}, 0, one
+    for e in sorted(set(exponents)):
+        step = base if e == last + 1 else power(base, e - last, one)
+        value = step if last == 0 else value * step
+        out[e], last = value, e
+    return out
 
 
 def _mono_mul(a, b):
@@ -286,7 +290,8 @@ class Polynomial:
         F = sum c * prod p_i^e_i * q_i^(d_i - e_i) over the terms, D = prod
         q_i^d_i, d_i the degree in z_i and q_i = 1 for a polynomial image.
         The images share one ring over this field and cover every used
-        variable.  Each power is built once, and F is summed in one dict."""
+        variable.  Only the powers whose exponents occur are built, each
+        once, and F is summed in one dict."""
         images = list(mapping.values())
         target = images[0].ring if images else self.ring
         if any(g.ring != target for g in images):
@@ -297,15 +302,16 @@ class Polynomial:
         if target.field != self.ring.field:
             raise AlgebraError("substitution across different fields")
         one = target.one()
-        p_powers = {}       # i -> [p_i^0..p_i^d_i]
-        q_powers = {}       # i -> (d_i, [q_i^0..q_i^d_i]), only where q_i != 1
-        for i, d in enumerate(map(max, zip(*self.terms))):
+        p_powers = {}       # i -> {e: p_i^e} for the exponents e > 0 of z_i
+        q_powers = {}       # i -> (d_i, {d_i - e: q_i^(d_i - e)} and q_i^d_i), if q_i != 1
+        for i, column in enumerate(map(set, zip(*self.terms))):
+            d = max(column)
             if d:
                 g = mapping[self.ring.names[i]]
                 rational = isinstance(g, RationalFunction)
-                p_powers[i] = power_table(g.num if rational else g, d, one)
+                p_powers[i] = powers(g.num if rational else g, column - {0}, one)
                 if rational and not g.den.is_one():
-                    q_powers[i] = d, power_table(g.den, d, one)
+                    q_powers[i] = d, powers(g.den, {d - e for e in column} | {d}, one)
         sums = {}
         for exps, c in self.terms.items():
             factors = [p_powers[i][e] for i, e in enumerate(exps) if e]

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from .actions import CoAction, GmCoAction, LaurentPoly
+from .actions import CoAction, GmCoAction, laurent_components, laurent_text
 from .errors import AlgebraError, ParseError, ValidationError
 from .fields import FieldSpec
 from .groups import Endomorphism, GroupLaw, mult_var_names
@@ -190,12 +190,13 @@ class _ExprParser:
         raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
 
 
-def _polys(value):
-    """The polynomials a parsed value is made of."""
+def _polys(value, laurent=None):
+    """The polynomials a parsed value is made of; of a Laurent polynomial,
+    its weight components in the ring `laurent`, so weights are not degrees."""
+    if laurent is not None:
+        return list(laurent_components(value, laurent).values())
     if isinstance(value, RationalFunction):
         return [value.num, value.den]
-    if isinstance(value, LaurentPoly):
-        return list(value.comps.values())
     return [value]
 
 
@@ -203,19 +204,20 @@ def _term_count(value) -> int:
     """Terms of a parsed value; of a rational function, the larger side's."""
     if isinstance(value, RationalFunction):
         return max(len(value.num.terms), len(value.den.terms))
-    return sum(len(p.terms) for p in _polys(value))
+    return len(value.terms)
 
 
 class _Context:
     """Value type of one expression parse.  `lift` turns ring polynomials
-    into values; `weight` names the torus variable of a Laurent parse (the
-    only variable allowed a negative exponent); `division` makes `/` true
-    division, for probe expressions."""
+    into values; `laurent`, for a Laurent parse, is the ring of the weight
+    components, `ring` being laurent[w] and the values fractions F / w^k,
+    where only a unit c*w^d takes a negative exponent; `division` makes `/`
+    true division, for probe expressions."""
 
-    def __init__(self, ring: PolyRing, lift, weight=None, division=False):
+    def __init__(self, ring: PolyRing, lift, laurent=None, division=False):
         self.ring = ring
         self.lift = lift
-        self.weight = weight
+        self.laurent = laurent
         self.allows_division = division
 
     def const(self, frac, line, col):
@@ -225,8 +227,6 @@ class _Context:
             raise ParseError(str(exc), line, col)
 
     def var(self, name, line, col):
-        if name == self.weight:
-            return LaurentPoly(self.ring, {1: self.ring.one()})
         if name not in self.ring._index:
             raise ParseError(f"undeclared variable {name!r}", line, col)
         return self.lift(self.ring.var(name))
@@ -244,15 +244,18 @@ class _Context:
         return a / b
 
     def pow(self, a, n, line, col):
-        if n < 0 and self.weight is None and not self.allows_division:
+        if n < 0 and self.laurent is None and not self.allows_division:
             raise ParseError("negative exponent is only allowed on the weight variable w",
                              line, col)
         if n < 0 and self.allows_division and a.is_zero():
             raise ParseError("negative power of zero", line, col)
         check_power_terms(_term_count(a), n, line, col)
-        polys = _polys(a)
+        polys = _polys(a, self.laurent)
         if self.ring.field.p is None and all(p.is_constant() for p in polys):
             check_constant_bits(polys, n, line, col)
+        if n < 0 and self.laurent is not None and not (len(polys) == 1
+                                                       and polys[0].is_constant()):
+            raise ParseError("negative power of a non-unit Laurent polynomial", line, col)
         try:
             return a ** n
         except AlgebraError as exc:
@@ -266,11 +269,11 @@ def _parse(text: str, line: int, col0: int, context: _Context):
     return _ExprParser(tokens, line, context).parse()
 
 
-def bounded(value, line: int):
+def bounded(value, line: int, laurent=None):
     """A parsed problem line, probe or semi-invariant g or h, refused above
     MAX_DEGREE in the ring variables, since it is validated or acted on
-    afterwards."""
-    degree = max((p.total_degree() for p in _polys(value)), default=-1)
+    afterwards; `laurent` as in `_polys`."""
+    degree = max((p.total_degree() for p in _polys(value, laurent)), default=-1)
     if degree > MAX_DEGREE:
         raise ParseError(f"total degree {degree} exceeds {MAX_DEGREE}", line)
     return value
@@ -467,9 +470,8 @@ def parse_problem(text: str) -> ProblemFile:
             require(name not in gmact, f"duplicate gmact line for {name!r}", lineno)
             require("w" not in ring.names,
                     "ring variable 'w' collides with the weight variable", lineno)
-            gmact[name] = bounded(_parse(expr_text, lineno, expr_col,
-                                         _Context(ring, LaurentPoly.from_poly, weight="w")),
-                                  lineno)
+            laurent = _Context(ring.extend(["w"]), RationalFunction.from_poly, laurent=ring)
+            gmact[name] = bounded(_parse(expr_text, lineno, expr_col, laurent), lineno, ring)
         elif keyword == "pair":
             require(ring is not None, "pair before ring", lineno)
             require(expr_text is None, "pair lines do not use '='", lineno)
@@ -562,8 +564,6 @@ def render(obj) -> str:
         return obj.text()
     if isinstance(obj, RationalFunction):
         return obj.text()
-    if isinstance(obj, LaurentPoly):
-        return obj.text()
     if isinstance(obj, ProblemFile):
         return render_problem(obj)
     raise ValidationError(f"cannot render {type(obj).__name__}")
@@ -586,7 +586,8 @@ def render_problem(problem: ProblemFile) -> str:
             lines.append(f"endo {coord} = {p.text()}")
     if problem.is_gm:
         for name in problem.ring.names:
-            lines.append(f"gmact {name} = {problem.action.v_for(name).text()}")
+            text = laurent_text(problem.action.v_for(name), problem.ring)
+            lines.append(f"gmact {name} = {text}")
     else:
         for name in problem.ring.names:
             lines.append(f"act {name} = {problem.action.v_for(name).text()}")

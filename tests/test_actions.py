@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from pairkit.actions import (CoAction, GmCoAction, LaurentPoly,
-                             gm_weight_components, is_semi_invariant,
+from pairkit.actions import (CoAction, GmCoAction, gm_weight_components,
+                             is_semi_invariant, laurent_components,
                              validate_action, validate_gm_action)
-from pairkit.errors import AlgebraError, ValidationError
+from pairkit.errors import AlgebraError, ParseError, ValidationError
 from pairkit.fields import QQ
 from pairkit.gbasis import buchberger
 from pairkit.poly import PolyRing, RationalFunction
+from pairkit.problem import parse_problem
 
 from test_groups import vector_law
 
@@ -127,30 +128,29 @@ class TestStabilizer:
             e1.action.stabilizer_ideal([Fraction(1)])
 
 
+def laurent(text):
+    """The Laurent polynomial `text` in w, parsed as the image of x."""
+    return parse_problem(f"field Q\nring x\ngmact x = {text}\n").action.v_for("x")
+
+
 class TestLaurentPower:
     def test_power_equals_repeated_product(self):
-        ring = PolyRing(["x"], QQ)
-        f = LaurentPoly(ring, {-1: ring.var("x"), 2: ring.const(Fraction(3))})
-        product = LaurentPoly.from_poly(ring.one())
+        f = "(w^-1*x + 3*w^2)"
         for n in range(7):
-            assert f ** n == product
-            product = product * f
+            assert laurent(f"{f}^{n}") == laurent("*".join([f] * n) or "1")
 
     def test_negative_power_of_a_unit(self):
-        ring = PolyRing(["x"], QQ)
-        unit = LaurentPoly(ring, {2: ring.const(Fraction(2))})
-        assert unit ** -3 == LaurentPoly(ring, {-6: ring.const(Fraction(1, 8))})
-        assert (unit ** -3) * (unit ** 3) == LaurentPoly.from_poly(ring.one())
-        with pytest.raises(AlgebraError, match="non-unit"):
-            LaurentPoly(ring, {1: ring.var("x")}) ** -1
-        with pytest.raises(AlgebraError, match="non-unit"):
-            LaurentPoly.zero(ring) ** -1
+        assert laurent("(2*w^2)^-3") == laurent("1/8*w^-6")
+        assert laurent("(2*w^2)^-3*(2*w^2)^3") == laurent("1")
+        with pytest.raises(ParseError, match="non-unit"):
+            laurent("(w*x)^-1")
+        with pytest.raises(ParseError, match="non-unit"):
+            laurent("0^-1")
 
     def test_huge_weight_power_is_immediate(self):
         ring = PolyRing(["x"], QQ)
-        w = LaurentPoly(ring, {1: ring.one()})
-        assert (w ** 10**9).weights() == [10**9]
-        assert (w ** -10**9).weights() == [-10**9]
+        assert list(laurent_components(laurent("w^1000000000"), ring)) == [10**9]
+        assert list(laurent_components(laurent("w^-1000000000"), ring)) == [-10**9]
 
 
 class TestGmAction:
@@ -159,8 +159,8 @@ class TestGmAction:
 
     def test_unit_axiom_violation_detected(self):
         ring = PolyRing(["x"], QQ)
-        bad = GmCoAction(ring, [LaurentPoly(ring, {1: ring.var("x"),
-                                                   0: ring.var("x")})])
+        x, w = ring.extend(["w"]).gens()
+        bad = GmCoAction(ring, [RationalFunction.from_poly(w * x + x)])
         report = validate_gm_action(bad)
         assert "unit-axiom" in report.failures
 
@@ -214,3 +214,5 @@ class TestGmAction:
         ring = gm_diag.ring
         with pytest.raises(ValidationError):
             is_semi_invariant(gm_diag.action, ring.var("x"), ring.zero(), 1, 1)
+        with pytest.raises(ValidationError, match="e must be non-negative"):
+            is_semi_invariant(gm_diag.action, ring.var("x"), ring.var("y"), -1, 0)

@@ -312,9 +312,12 @@ class TestVerbs:
         (["invariants", path("e1.prob"), "--pair", "1", "--probe", "z1^3000"],
          "--probe: total degree 3000 exceeds 2048"),
         (["invariants", path("e1.prob"), "--pair", "1", "--probe", "z1", "--probe", "z1 +"],
-         "--probe: unexpected end of expression")],
+         "--probe: unexpected end of expression"),
+        (["semi-invariant", path("gm_diag.prob"), "--g", "x", "--h", "y",
+          "--e", "-1", "--q", "0"],
+         "e must be non-negative")],
         ids=["coefficient-power", "g-syntax", "constant-power", "probe-degree",
-             "probe-syntax"])
+             "probe-syntax", "negative-e"])
     def test_command_line_expression_errors_name_their_option(self, capsys, argv, message):
         code = run(argv)
         captured = capsys.readouterr()
@@ -359,6 +362,22 @@ class TestVerbs:
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("error: ") and reason in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [[], ["--g", "x", "--h", "y", "--e", "1",
+                                           "--q", "2000000"]],
+                             ids=["check-action", "semi-invariant"])
+    def test_huge_weights_pass_quickly(self, tmp_path, args):
+        """Only the powers of w whose exponents occur are built, so a weight
+        of a million costs a few squarings."""
+        prob = tmp_path / "weights.prob"
+        prob.write_text("field Q\nring x y\ngmact x = w^1000000*x\n"
+                        "gmact y = w^-1000000*y\n", encoding="utf-8")
+        verb = "semi-invariant" if args else "check-action"
+        proc = subprocess.run([sys.executable, "-m", "pairkit", verb, str(prob), *args],
+                              capture_output=True, text=True, timeout=10,
+                              env=child_env())
+        assert proc.returncode == 0 and proc.stdout.endswith("status: ok\n")
+        assert "compatibility: pass" in proc.stdout
 
     def test_huge_witness_coefficient_prints_exactly(self, tmp_path):
         """The compatibility witness has a 5237-digit coefficient, beyond

@@ -6,8 +6,11 @@ import pytest
 
 from pairkit.errors import UnsupportedMethodError
 from pairkit.fields import QQ, FieldSpec
-from pairkit.linalg import ExactMatrix, echelon, formal_jacobian_rank, jacobian_rank
+from pairkit.linalg import (ExactMatrix, echelon, formal_jacobian_rank, jacobian_matrix,
+                            jacobian_rank)
 from pairkit.poly import PolyRing, RationalFunction
+
+from oracles import random_polynomial
 
 
 def F(x):
@@ -76,6 +79,23 @@ class TestJacobianRank:
         h = RationalFunction(self.z1 - self.z2, self.z1 * self.z1 + one)
         rows, pivots = echelon([[f, g], [f * h, g * h]], RationalFunction.inverse)
         assert pivots == [0] and not any(rows[1])
+
+
+def test_jacobian_entries_match_sympy_derivatives():
+    """Each entry of a polynomial row and of a fraction row is sympy's
+    derivative of num/den, on seeded random functions over Q."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    ring = PolyRing(["z1", "z2", "z3"], QQ)
+    functions = [RationalFunction(random_polynomial(ring, rng, 3, 4),
+                                  ring.one() if i % 2 else
+                                  random_polynomial(ring, rng, 2, 3) + ring.var("z3") ** 3)
+                 for i in range(8)]
+    expr = lambda p: sympy.sympify(p.text())
+    for f, row in zip(functions, jacobian_matrix(functions)):
+        for name, entry in zip(ring.names, row):
+            expected = sympy.diff(expr(f.num) / expr(f.den), sympy.Symbol(name))
+            assert sympy.cancel(expr(entry.num) / expr(entry.den) - expected) == 0
 
 
 def matrices(rng, p):

@@ -5,7 +5,8 @@ import pytest
 
 from pairkit.errors import AlgebraError, ValidationError
 from pairkit.fields import QQ, FieldSpec
-from pairkit.poly import PolyRing, RationalFunction, _int_text, fresh_names, substitute
+from pairkit.poly import (PolyRing, RationalFunction, _int_text, fresh_names, powers,
+                          substitute)
 
 from oracles import random_polynomial
 
@@ -32,6 +33,18 @@ class TestArithmetic:
         z1, z2 = R.gens()
         assert (z1 + z2) ** 3 == z1**3 + (z1 * z1 * z2).scale(Fraction(3)) \
             + (z1 * z2 * z2).scale(Fraction(3)) + z2**3
+
+    @pytest.mark.parametrize("exponents", [range(7), [9, 3, 4, 3], [0, 25], [12]],
+                             ids=["dense", "gaps", "zero", "single"])
+    def test_powers_builds_exactly_the_requested_exponents(self, R, exponents):
+        z1, z2 = R.gens()
+        base = z1 + z2.scale(Fraction(2)) - R.one()
+        built = powers(base, exponents, R.one())
+        assert sorted(built) == sorted(set(exponents))
+        product = R.one()
+        for e in range(max(exponents) + 1):
+            assert built.get(e, product) == product
+            product = product * base
 
     def test_char2(self):
         R = PolyRing(["t"], FieldSpec.prime(2))

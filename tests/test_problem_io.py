@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pairkit.actions import laurent_components
 from pairkit.errors import ParseError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.poly import PolyRing, RationalFunction
@@ -55,7 +56,7 @@ class TestParse:
     def test_gm_problem(self, gm_diag):
         assert gm_diag.is_gm
         vx = gm_diag.action.v_for("x")
-        assert vx.weights() == [1]
+        assert list(laurent_components(vx, gm_diag.ring)) == [1]
 
     def test_version_line(self):
         assert parse_problem("version 1\n" + E1_TEXT).group.s == 1
@@ -87,7 +88,7 @@ class TestParse:
         text = ("version 1\nfield Q\nring x y\n"
                 "gmact x = w^-1*x\ngmact y = w^2*y\n")
         p = parse_problem(text)
-        assert p.action.v_for("x").weights() == [-1]
+        assert list(laurent_components(p.action.v_for("x"), p.ring)) == [-1]
         assert parse_problem(render_problem(p)) == p
 
 
@@ -208,7 +209,7 @@ class TestPowerSizeLimit:
 
     def test_laurent_weight_powers_pass(self):
         problem = parse_in("gm", "w^-100000*x")
-        assert problem.action.v_for("x").weights() == [-100000]
+        assert list(laurent_components(problem.action.v_for("x"), problem.ring)) == [-100000]
 
 
 class TestProductSizeLimit:
@@ -302,7 +303,7 @@ class TestDegreeLimit:
 
     def test_weights_are_not_degrees(self):
         problem = parse_problem(GM_HEAD + "w^100000*x\n")
-        assert problem.action.v_for("x").weights() == [100000]
+        assert list(laurent_components(problem.action.v_for("x"), problem.ring)) == [100000]
 
 
 class TestConstantSizeLimit:
@@ -432,6 +433,11 @@ PINNED_ERRORS = [
      'negative exponent is only allowed on the weight variable w (line 6, col 16)'),
     ('prob', 'field Q\nring z\nrelation z^2 + ^\n',
      "unexpected token '^' (line 3, col 16)"),
+    ('prob', 'field Q\n',
+     'missing ring section (line 1)'),
+    ('prob', 'field Q\nring z\ngroup dim 2 coords t1 t2\nmult t1 = a1 + b1\n'
+     'mult t2 = a2 + b2\ninv t1 = -t1\ninv t2 = -t2\nendo t1 = t1\nact z = z\n',
+     "missing endo line for 't2' (line 9)"),
     ('prob', 'field Q\nring z\ngroup dim 1 coords t\nmult t = a1 + b1\ninv t = -t\nact z = z + t*z\npair 1 g z^-1\n',
      'negative exponent is only allowed on the weight variable w (line 7, col 13)'),
 ]

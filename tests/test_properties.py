@@ -23,7 +23,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from pairkit.actions import GmCoAction, LaurentPoly  # noqa: E402
+from pairkit.actions import GmCoAction, laurent_text  # noqa: E402
 from pairkit.fields import QQ, FieldSpec  # noqa: E402
 from pairkit.gbasis import Ideal, groebner, normal_form, poly_divmod  # noqa: E402
 from pairkit.orders import GREVLEX, LEX, BlockOrder  # noqa: E402
@@ -76,17 +76,23 @@ def field_pow(field, x, n):
     return value
 
 
-def laurent_value(lp: LaurentPoly, values, w):
+def laurent_value(lp: RationalFunction, values, w):
+    """The fraction F / w^k at `values` and a nonzero w."""
     field = lp.ring.field
-    total = field.zero()
-    for d, p in lp.comps.items():
-        total = field.add(total, field.mul(p.evaluate(values), field_pow(field, w, d)))
-    return total
+    at = {**values, "w": w}
+    return field.mul(lp.num.evaluate(at), field.inv(lp.den.evaluate(at)))
 
 
 def laurent_polys(ring):
+    """Laurent polynomials of weights -2..2, as F / w^2 in ring[w]."""
+    ext = ring.extend(["w"])
+    w = ext.var("w")
+
+    def build(comps):
+        return RationalFunction(sum((p.cast(ext) * w ** (d + 2) for d, p in comps.items()),
+                                    ext.zero()), w ** 2)
     return st.dictionaries(st.integers(-2, 2), polynomials(ring, 1, 3), max_size=3) \
-        .map(lambda comps: LaurentPoly(ring, comps))
+        .map(build)
 
 
 @st.composite
@@ -233,7 +239,8 @@ def test_laurent_text_parses_back(field, data):
     ring = PolyRing(("x", "y"), field)
     lp = data.draw(laurent_polys(ring))
     head = "field Q" if field.p is None else f"field Fp {field.p}"
-    problem = parse_problem(f"{head}\nring x y\ngmact x = {lp.text()}\ngmact y = y\n")
+    problem = parse_problem(f"{head}\nring x y\ngmact x = {laurent_text(lp, ring)}\n"
+                            "gmact y = y\n")
     assert problem.action.v_for("x") == lp
 
 
@@ -287,8 +294,8 @@ def ring_elements(ring):
     return [(polynomials(ring), ring.zero(), ring.one()),
             (rational_functions(ring), RationalFunction.zero(ring),
              RationalFunction.one(ring)),
-            (laurent_polys(ring), LaurentPoly.zero(ring),
-             LaurentPoly.from_poly(ring.one()))]
+            (laurent_polys(ring), RationalFunction.zero(ring.extend(["w"])),
+             RationalFunction.one(ring.extend(["w"])))]
 
 
 @property_settings

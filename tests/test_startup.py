@@ -90,8 +90,8 @@ def test_importing_the_package_loads_no_submodule():
 # every name the package exported when it imported its submodules eagerly,
 # under its defining module
 EXPORTED = {
-    "actions": ["CoAction", "GmCoAction", "LaurentPoly", "gm_weight_components",
-                "is_semi_invariant", "validate_action", "validate_gm_action"],
+    "actions": ["CoAction", "GmCoAction", "gm_weight_components", "is_semi_invariant",
+                "validate_action", "validate_gm_action"],
     "cli": ["mukai_predicate"],
     "errors": ["AlgebraError", "InternalCheckError", "PairkitError", "ParseError",
                "UnsupportedMethodError", "ValidationError"],

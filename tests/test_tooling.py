@@ -5,9 +5,12 @@ how the group law's product is wired and how alpha is applied is decided in
 imports neither `fractions` nor `math`, only `cli.run` writes to stdout,
 `poly.py` and `linalg.py` do their coefficient arithmetic with Python's
 operators rather than per-term field calls, `poly.py` alone calls its one
-substitution kernel, `linalg.echelon` is the one row elimination, a
-pair's verdicts are set by `check_alpha_pair` alone, a graph ideal is
-eliminated only on the routes the Jacobian certificate falls back to,
+substitution kernel and builds tables of powers, `Polynomial` and
+`RationalFunction` are the only classes with a product (a Laurent
+polynomial is a fraction F / w^k), `linalg.echelon` is the one row
+elimination, a pair's verdicts are set by `check_alpha_pair` alone, a
+graph ideal is eliminated only on the routes the Jacobian certificate falls
+back to,
 `cli.py` and the package import no algebra module when they are loaded, and
 a principle pair without relations is checked without Buchberger."""
 
@@ -143,26 +146,49 @@ def test_group_law_and_alpha_are_applied_in_groups_only():
 
 
 ENGINE = {"buchberger", "_reduce_dict"}
+POWER_TABLES = {"powers", "power_table"}
 
 
-def engine_offenders(src_dir):
-    """Calls of Buchberger or the heap reducer outside gbasis.py; everything
-    else goes through groebner, eliminate, normal_form and poly_divmod."""
+def outside_calls(src_dir, home, names):
+    """Calls of a function in `names` outside the module `home`."""
     offenders = []
     for path in sorted(src_dir.glob("*.py")):
-        if path.name == "gbasis.py":
+        if path.name == home:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in ENGINE:
+                if name in names:
                     offenders.append(f"{path.name}:{node.lineno}: {name}")
     return offenders
 
 
 def test_only_gbasis_runs_buchberger_or_reduces():
-    assert engine_offenders(ROOT / "src" / "pairkit") == []
+    """Everything else goes through groebner, eliminate, normal_form and
+    poly_divmod."""
+    assert outside_calls(ROOT / "src" / "pairkit", "gbasis.py", ENGINE) == []
+
+
+def test_only_poly_builds_tables_of_powers():
+    """The substitution kernel builds the powers of its images; the torus
+    pushforward goes through it rather than keeping a loop of its own."""
+    assert outside_calls(ROOT / "src" / "pairkit", "poly.py", POWER_TABLES) == []
+
+
+def product_classes(src_dir):
+    """The classes, as "module:class", that define `__mul__`."""
+    return [f"{path.name}:{node.name}" for path in sorted(src_dir.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name == "__mul__" for f in node.body)]
+
+
+def test_polynomials_and_fractions_are_the_only_arithmetic_types():
+    """A Laurent polynomial is the fraction F / w^k of k[Z, w], so no third
+    arithmetic type with its own products grows back."""
+    assert product_classes(ROOT / "src" / "pairkit") == ["poly.py:Polynomial",
+                                                        "poly.py:RationalFunction"]
 
 
 def imported_modules(path):
@@ -286,8 +312,7 @@ def substitution_kernel(src_dir):
 
 def test_one_substitution_kernel():
     """Polynomial and rational images share one polynomial kernel with no
-    constructor knob, and no other module reaches into it: the torus
-    pushforward keeps its own loop."""
+    constructor knob, and no other module reaches into it."""
     callers, params = substitution_kernel(ROOT / "src" / "pairkit")
     assert callers == {"poly.py"}
     assert params == [["self", "mapping"]]
