@@ -27,7 +27,7 @@ _EXPORTS = {
     "pairs": ("AlphaPair", "build_fppf_cover", "check_alpha_pair",
               "check_pair_identity", "is_affine_stable", "kernel_acts_trivially",
               "pair_from_problem", "pedestal_ideal_from_pairs", "transcendence_degree"),
-    "poly": ("Polynomial", "PolyRing", "RationalFunction", "substitute"),
+    "poly": ("Polynomial", "PolyRing", "RationalFunction"),
     "problem": ("ProblemFile", "parse_polynomial", "parse_problem", "parse_rational",
                 "render", "render_problem"),
 }

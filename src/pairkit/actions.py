@@ -1,11 +1,13 @@
 """Co-actions of unipotent groups and of the multiplicative torus.
 
-A unipotent co-action stores one polynomial v_i(Z, Y) per space variable,
-in the combined ring k[Z, coords].  A torus co-action stores one Laurent
-polynomial per space variable, as the rational function F / w^k of
-k[Z, w] (w last, F not divisible by w unless k = 0), so it runs on the same
-substitution kernel and the same identity checks; `laurent_components`
-reads off its weights.
+Each co-action owns the coordinate ring A = k[Z]/I it acts on: the ring
+k[Z] and the generators of the relation ideal I, so every check that works
+modulo I reads I from the action.  A unipotent co-action stores one
+polynomial v_i(Z, Y) per space variable, in the combined ring k[Z, coords].
+A torus co-action stores one Laurent polynomial per space variable, as the
+rational function F / w^k of k[Z, w] (w last, F not divisible by w unless
+k = 0), so it runs on the same substitution kernel and the same identity
+checks; `laurent_components` reads off its weights.
 """
 
 from .errors import AlgebraError, ValidationError
@@ -15,9 +17,9 @@ from .report import Report
 
 
 class CoAction:
-    __slots__ = ("law", "ring", "big_ring", "v")
+    __slots__ = ("law", "ring", "big_ring", "v", "relations")
 
-    def __init__(self, law: GroupLaw, ring: PolyRing, v):
+    def __init__(self, law: GroupLaw, ring: PolyRing, v, relations):
         if set(ring.names) & set(law.coords):
             raise ValidationError("group coordinate names collide with ring variables")
         if ring.field != law.field:
@@ -29,6 +31,7 @@ class CoAction:
         self.ring = ring
         self.big_ring = PolyRing(ring.names + law.coords, ring.field)
         self.v = [p.cast(self.big_ring) for p in v]
+        self.relations = [r.cast(ring) for r in relations]
 
     def v_for(self, name: str) -> Polynomial:
         return self.v[self.ring.index(name)]
@@ -65,13 +68,9 @@ class CoAction:
         point = list(point)
         if len(point) != self.ring.nvars:
             raise ValidationError(f"point arity must be {self.ring.nvars}")
-        values = dict(zip(self.ring.names, point))
         target = self.law.coords_ring
-        gens = []
-        for i in range(self.ring.nvars):
-            evaluated = self.v[i].eval_partial(values, target)
-            gens.append(evaluated - target.const(point[i]))
-        return Ideal(target, gens)
+        x = [target.const(c) for c in point]
+        return Ideal(target, [vi - xi for vi, xi in zip(self.apply(x, target.gens()), x)])
 
     def __repr__(self):
         return f"CoAction({self.law!r} on {self.ring!r})"
@@ -134,14 +133,20 @@ class GmCoAction:
     """Torus co-action: one Laurent polynomial F / w^k of k[Z, w] per ring
     variable, w the ring's last variable."""
 
-    __slots__ = ("ring", "v")
+    __slots__ = ("ring", "v", "relations")
 
-    def __init__(self, ring: PolyRing, v):
+    def __init__(self, ring: PolyRing, v, relations):
         v = list(v)
         if len(v) != ring.nvars:
             raise ValidationError("co-action needs one Laurent polynomial per ring variable")
+        for name, f in zip(ring.names, v):
+            (exps, c), *rest = f.den.terms.items()
+            if rest or c != 1 or any(exps[:-1]):
+                raise ValidationError(f"image of {name} is not a Laurent polynomial: its "
+                                      f"denominator {f.den.text()} is not a power of w")
         self.ring = ring
         self.v = v
+        self.relations = [r.cast(ring) for r in relations]
 
     def v_for(self, name: str) -> RationalFunction:
         return self.v[self.ring.index(name)]

@@ -81,7 +81,7 @@ def _validated_pair_report(args):
     pair = None
     if _validated(problem, report).passed:
         pair = pair_from_problem(problem, args.pair)
-        report.merge(check_alpha_pair(problem.action, pair, problem.relations))
+        report.merge(check_alpha_pair(problem.action, pair))
     return problem, report, pair if report.passed else None
 
 
@@ -103,7 +103,7 @@ def _pedestal_report(args, title: str, which: str, needs_points=False):
     report, pairs = Report(title), []
     for idx in sorted(problem.pairs):
         pairs.append(pair_from_problem(problem, idx))
-        pair_report = check_alpha_pair(problem.action, pairs[-1], problem.relations)
+        pair_report = check_alpha_pair(problem.action, pairs[-1])
         report.check(f"pair{idx}-verified", pair_report.passed,
                      ", ".join(pair_report.failures) or None)
     if not report.passed:
@@ -151,7 +151,7 @@ def cmd_trdeg(args) -> Report:
     pair = pair_from_problem(problem, args.pair)
     report = Report("trdeg")
     report.info("pair", args.pair)
-    degree, rank = trdeg_and_rank(pair.fractions(), problem.relations)
+    degree, rank = trdeg_and_rank(pair.fractions(), problem.action.relations)
     report.info("trdeg", degree)
     report.info("group-dim", problem.group.s)
     report.info("equals-group-dim", "true" if degree == problem.group.s else "false")
@@ -175,7 +175,7 @@ def cmd_invariants(args) -> Report:
                     "quasi-principle pair")
         report.check("principle-required", False)
         return report
-    basis = dixmier_generators(problem.action, pair, problem.relations)
+    basis = dixmier_generators(problem.action, pair)
     for name, fi, num, e in zip(problem.ring.names, basis.f,
                                 basis.numerators, basis.powers):
         report.info(f"f[{name}]", fi.text())
@@ -187,7 +187,7 @@ def cmd_invariants(args) -> Report:
     if probes:
         report.merge(verify_generators(problem.action, basis, probes))
     if args.relations:
-        presentation = relations_presentation(basis, problem.relations)
+        presentation = relations_presentation(basis)
         gens = [g.text() for g in presentation.gens] or ["0"]
         for i, g in enumerate(gens, start=1):
             report.info(f"relation[{i}]", g)
@@ -213,7 +213,7 @@ def cmd_fppf(args) -> Report:
     problem, report, pair = _validated_pair_report(args)
     if pair is None:
         return report
-    cover, cover_report = build_fppf_cover(problem.action, pair, problem.relations)
+    cover, cover_report = build_fppf_cover(problem.action, pair)
     report.merge(cover_report)
     if args.emit:
         _emit(cover, args.emit, report)

@@ -9,7 +9,7 @@ presentations violating that are reported as failures, not re-coordinatized.
 
 from .errors import ValidationError
 from .fields import FieldSpec
-from .poly import Polynomial, PolyRing, RationalFunction, substitute
+from .poly import Polynomial, PolyRing, RationalFunction
 from .report import Report
 
 
@@ -50,7 +50,7 @@ class GroupLaw:
         assignment = dict(zip(self.mult_ring.names, u + v))
         if all(isinstance(x, Polynomial) for x in u + v):
             return [m.subs_poly(assignment) for m in self.mult]
-        return [substitute(m, assignment) for m in self.mult]
+        return [m.subs_rational(assignment) for m in self.mult]
 
     def invert_tuple(self, u):
         u = list(u)

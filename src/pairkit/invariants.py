@@ -59,11 +59,12 @@ def _present_over_H(f: RationalFunction, H: Polynomial):
         f"of {f.num.text()}")
 
 
-def dixmier_generators(action: CoAction, pair: AlphaPair, relations=None) -> InvariantBasis:
+def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
     """f_i = v_i(Z, b) for b the group inverse of the pair tuple.
 
-    Every f_i must be invariant modulo the relations (hard postcondition); the
-    result also carries the denominator-power bookkeeping and Hbar = prod h_i(f).
+    Every f_i must be invariant modulo the action's relations (hard
+    postcondition); the result also carries the denominator-power
+    bookkeeping and Hbar = prod h_i(f).
     """
     if not pair.principle:
         raise ValidationError("dixmier_generators requires a verified principle pair")
@@ -74,7 +75,7 @@ def dixmier_generators(action: CoAction, pair: AlphaPair, relations=None) -> Inv
     f = [v.subs_rational(assignment) for v in action.v]
 
     pushed = ((action.pushforward(fi), fi.cast(action.big_ring)) for fi in f)
-    for name, fi, diff in zip(ring.names, f, residues(pushed, relations)):
+    for name, fi, diff in zip(ring.names, f, residues(pushed, action.relations)):
         if not diff.is_zero():
             raise AlgebraError(
                 f"dixmier postcondition failed: f for {name} = {fi.text()} is not "
@@ -109,15 +110,16 @@ def verify_generators(action: CoAction, basis: InvariantBasis, probes) -> Report
     return report
 
 
-def relations_presentation(basis: InvariantBasis, relations=None) -> Ideal:
-    """Kernel of W_i -> f_i modulo the relations: all relations among the
-    generators in k[z]/I, as the contraction to k[W] of the graph ideal
-    (which inverts the denominators) plus I.
+def relations_presentation(basis: InvariantBasis) -> Ideal:
+    """Kernel of W_i -> f_i modulo the relations I of the basis's action:
+    all relations among the generators in k[z]/I, as the contraction to k[W]
+    of the graph ideal (which inverts the denominators) plus I.
 
     Without relations, when the Jacobian certifies the nonzero f_i
     independent, that contraction is <W_i : f_i = 0>; the small ideal is then
     eliminated instead, in the same ring, and gives the same reduced basis.
     """
+    relations = basis.action.relations
     graph, tags = graph_ideal(basis.f, "W", relations)
     nonzero = [f for f in basis.f if not f.is_zero()]
     if not relations and formal_jacobian_rank(nonzero) == len(nonzero):
@@ -229,7 +231,7 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     inv_new = [p.cast(new_coords_ring) for p in inv_new]
 
     new_law = GroupLaw(u_names, field, m_new, inv_new)
-    new_action = CoAction(new_law, ring, [p for p in v_new])
+    new_action = CoAction(new_law, ring, v_new, action.relations)
 
     report = Report("factor-through-kernel")
     law_report = validate_group_law(new_law)
@@ -252,9 +254,8 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
 
 def induced_problem(problem: ProblemFile, new_action: CoAction) -> ProblemFile:
     """Problem file for the induced action: same ring and pairs, no endo."""
-    return ProblemFile(problem.field, problem.ring, list(problem.relations),
-                       new_action.law, None, new_action, dict(problem.pairs),
-                       list(problem.points))
+    return ProblemFile(problem.field, problem.ring, new_action.law, None, new_action,
+                       dict(problem.pairs), list(problem.points))
 
 
 # -- Nagata actions ----------------------------------------------------------------
@@ -325,11 +326,11 @@ def nagata_build(spec: NagataSpec) -> ProblemFile:
         for m, vec in enumerate(basis_vectors):
             translation = translation + big.var(coord_names[m]).scale(vec[i])
         v.append(big.var(f"x{n + i + 1}") + translation * big.var(f"x{i + 1}"))
-    action = CoAction(law, ring, v)
+    action = CoAction(law, ring, v, [])
 
     g = [ring.var(f"x{n + i + 1}") for i in free_rows]
     h = [ring.var(f"x{i + 1}") for i in free_rows]
-    return ProblemFile(QQ, ring, [], law, None, action, {1: (g, h)}, [])
+    return ProblemFile(QQ, ring, law, None, action, {1: (g, h)}, [])
 
 
 def nagata_oracle_invariants(spec: NagataSpec, problem: ProblemFile):

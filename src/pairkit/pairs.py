@@ -72,18 +72,19 @@ def residues(pairs, relations=None):
         yield diff
 
 
-def check_pair_identity(action: CoAction, pair: AlphaPair, relations=None):
-    """Compare (g_i/h_i)(w*x) against alpha(w) . (g_i/h_i)(x) componentwise.
+def check_pair_identity(action: CoAction, pair: AlphaPair):
+    """Compare (g_i/h_i)(w*x) against alpha(w) . (g_i/h_i)(x) componentwise,
+    modulo the action's relation ideal.
 
     Returns (ok, witness): witness is the first nonzero cross-multiplied
-    difference numerator (reduced modulo the relation ideal if given).
+    difference numerator, in normal form modulo the relations.
     """
     law = pair.law
     big = action.big_ring
     fractions = pair.fractions()
     rhs = law.multiply_tuples(pair.alpha.apply(big.gens()[action.ring.nvars:]),
                               [f.cast(big) for f in fractions])
-    for diff in residues(zip(map(action.pushforward, fractions), rhs), relations):
+    for diff in residues(zip(map(action.pushforward, fractions), rhs), action.relations):
         if not diff.is_zero():
             return False, diff.text()
     return True, None
@@ -162,9 +163,10 @@ def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
                for v, name in zip(action.v, action.ring.names))
 
 
-def check_alpha_pair(action: CoAction, pair: AlphaPair, relations=None) -> Report:
-    """Full pair verification: identity, transcendence degree, and the
-    quasi-principle / principle classification, stored as the pair's verdicts."""
+def check_alpha_pair(action: CoAction, pair: AlphaPair) -> Report:
+    """Full pair verification on the action's ring modulo its relations:
+    identity, transcendence degree, and the quasi-principle / principle
+    classification, stored as the pair's verdicts."""
     law = pair.law
     if action.law != law:
         raise ValidationError("the pair's group law does not match the action's")
@@ -175,10 +177,10 @@ def check_alpha_pair(action: CoAction, pair: AlphaPair, relations=None) -> Repor
         raise ValidationError("alpha is not surjective (kernel has positive "
                               "dimension); it is not a pair-monoid member")
     report = Report("alpha-pair")
-    ok, witness = check_pair_identity(action, pair, relations)
+    ok, witness = check_pair_identity(action, pair)
     report.check("identity", ok, witness)
 
-    degree, rank = trdeg_and_rank(pair.fractions(), relations)
+    degree, rank = trdeg_and_rank(pair.fractions(), action.relations)
     report.info("trdeg", degree)
     report.check("trdeg-full", degree == law.s)
     if law.field.p is not None:
@@ -227,11 +229,11 @@ def is_affine_stable(point, pedestal: Ideal) -> bool:
     return any(g.evaluate(values) for g in pedestal.gens)
 
 
-def build_fppf_cover(action: CoAction, pair: AlphaPair, relations=None):
+def build_fppf_cover(action: CoAction, pair: AlphaPair):
     """Explicit fppf neighborhood on which the action trivializes.
 
     New ring Z + W, relation ideal <relations, h_i * alpha#(w_i) - g_i>, the
-    base problem's relations first, extended co-action (w translates by
+    action's relations first, extended co-action (w translates by
     m(Y, W)), canonical pair ((w_1..w_s),(1..1)).
     Returns (ProblemFile, Report); the canonical pair is re-verified as
     principle modulo the relation ideal before returning.  That cannot fail:
@@ -247,7 +249,7 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair, relations=None):
     cover_ring = PolyRing(ring.names + tuple(w_names), field)
 
     alpha_w = pair.alpha.apply(cover_ring.gens()[ring.nvars:])
-    relations = [r.cast(cover_ring) for r in relations or []] + \
+    relations = [r.cast(cover_ring) for r in action.relations] + \
         [h.cast(cover_ring) * a - g.cast(cover_ring)
          for g, h, a in zip(pair.g, pair.h, alpha_w)]
 
@@ -255,7 +257,7 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair, relations=None):
     gens = big.gens()
     W, Y = gens[ring.nvars:cover_ring.nvars], gens[cover_ring.nvars:]
     v_new = [p.cast(big) for p in action.v] + law.multiply_tuples(Y, W)
-    cover_action = CoAction(law, cover_ring, v_new)
+    cover_action = CoAction(law, cover_ring, v_new, relations)
 
     action_report = validate_action(cover_action)
     if not action_report.passed:
@@ -268,7 +270,7 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair, relations=None):
     report = Report("fppf-cover")
     for i, rel in enumerate(relations, start=1):
         report.info(f"relation{i}", rel.text())
-    self_check = check_alpha_pair(cover_action, canonical, relations=relations)
+    self_check = check_alpha_pair(cover_action, canonical)
     if not self_check.passed:
         raise InternalCheckError("canonical cover pair failed verification: "
                                  + ", ".join(self_check.failures))
@@ -276,6 +278,6 @@ def build_fppf_cover(action: CoAction, pair: AlphaPair, relations=None):
     report.info("saturated", "false")
     report.merge(self_check, prefix="cover-pair-")
 
-    problem = ProblemFile(field, cover_ring, relations, law, None, cover_action,
+    problem = ProblemFile(field, cover_ring, law, None, cover_action,
                           {1: (list(canonical.g), list(canonical.h))}, [])
     return problem, report

@@ -265,14 +265,6 @@ class Polynomial:
                      for exps, c in self.terms.items()), field.zero())
         return total % field.p if field.p is not None else total
 
-    def eval_partial(self, values: dict, target: PolyRing) -> "Polynomial":
-        """Evaluate some variables at field elements; the rest must exist in
-        `target` (same field)."""
-        used = self.variables_used()
-        mapping = {n: target.const(values[n]) if n in values else target.var(n)
-                   for n in self.ring.names if n in used}
-        return self.subs_poly(mapping) if mapping else self.cast(target)
-
     def subs_poly(self, mapping: dict) -> "Polynomial":
         """Substitute polynomials for variables; every used variable must be
         mapped; all images share one ring."""
@@ -521,13 +513,3 @@ class RationalFunction:
 
     def __repr__(self):
         return f"<{self.text()} in {self.ring!r}>"
-
-
-def substitute(f: Polynomial, assignment: dict) -> RationalFunction:
-    """Evaluate `f` with variables replaced by rational functions.
-
-    Every variable occurring in `f` must be assigned; images must share one
-    ring.  Substitution is a ring homomorphism, so the result's denominator
-    divides a product of powers of the assigned denominators.
-    """
-    return f.subs_rational(assignment)

@@ -308,13 +308,11 @@ def parse_point_value(word: str, field: FieldSpec, line: int):
 class ProblemFile:
     """Validated contents of one problem description."""
 
-    __slots__ = ("field", "ring", "relations", "group", "endo", "action",
-                 "pairs", "points")
+    __slots__ = ("field", "ring", "group", "endo", "action", "pairs", "points")
 
-    def __init__(self, field, ring, relations, group, endo, action, pairs, points):
+    def __init__(self, field, ring, group, endo, action, pairs, points):
         self.field = field
         self.ring = ring
-        self.relations = relations
         self.group = group
         self.endo = endo
         self.action = action
@@ -331,8 +329,8 @@ class ProblemFile:
         return self.pairs[idx]
 
     def _compared(self):
-        return (self.field, self.ring.names, self.relations, self.points, self.group,
-                self.endo, self.is_gm, self.action.v, self.pairs)
+        return (self.field, self.ring.names, self.action.relations, self.points,
+                self.group, self.endo, self.is_gm, self.action.v, self.pairs)
 
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
@@ -526,14 +524,14 @@ def parse_problem(text: str) -> ProblemFile:
         for name in ring.names:
             if name not in act:
                 raise ParseError(f"missing act line for {name!r}", eof)
-        action = CoAction(group, ring, [act[n] for n in ring.names])
+        action = CoAction(group, ring, [act[n] for n in ring.names], relations)
     else:
         for name in ring.names:
             if name not in gmact:
                 raise ParseError(f"missing gmact line for {name!r}", eof)
         if endo_map is not None or pair_g or pair_h:
             raise ParseError("pair/endo sections require a unipotent (act) problem", eof)
-        action = GmCoAction(ring, [gmact[n] for n in ring.names])
+        action = GmCoAction(ring, [gmact[n] for n in ring.names], relations)
 
     pairs = {}
     for idx in sorted(set(pair_g) | set(pair_h)):
@@ -548,7 +546,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(f"pair {idx} has a zero h polynomial", eof)
         pairs[idx] = (g, h)
 
-    return ProblemFile(field, ring, relations, group, endo_map, action, pairs, points)
+    return ProblemFile(field, ring, group, endo_map, action, pairs, points)
 
 
 # -- canonical printing ------------------------------------------------------------
@@ -572,7 +570,7 @@ def render(obj) -> str:
 def render_problem(problem: ProblemFile) -> str:
     lines = [f"version {GRAMMAR_VERSION}", _field_text(problem.field),
              "ring " + " ".join(problem.ring.names)]
-    for rel in problem.relations:
+    for rel in problem.action.relations:
         lines.append(f"relation {rel.text()}")
     if problem.group is not None:
         law = problem.group

@@ -140,7 +140,7 @@ def test_criterion_06_fppf_cover():
     e2 = load("e2.prob")
     pair = verified_pair(e2)
     cover, report = build_fppf_cover(e2.action, pair)
-    assert [r.text() for r in cover.relations] == ["z1*w^2 + z2"]  # -z2 = z2 mod 2
+    assert [r.text() for r in cover.action.relations] == ["z1*w^2 + z2"]  # -z2 = z2 mod 2
     big = cover.action.big_ring
     assert cover.action.v_for("w") == big.var("w") + big.var("t")
     g, h = cover.pairs[1]

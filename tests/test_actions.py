@@ -9,7 +9,7 @@ from pairkit.errors import AlgebraError, ParseError, ValidationError
 from pairkit.fields import QQ
 from pairkit.gbasis import buchberger
 from pairkit.poly import PolyRing, RationalFunction
-from pairkit.problem import parse_problem
+from pairkit.problem import parse_polynomial, parse_problem
 
 from test_groups import vector_law
 
@@ -30,7 +30,7 @@ class TestValidateAction:
         ring = PolyRing(["z1", "z2"], QQ)
         big = PolyRing(["z1", "z2", "t"], QQ)
         action = CoAction(law, ring,
-                          [big.var("z1"), big.var("z2") + big.var("t") * big.var("z2")])
+                          [big.var("z1"), big.var("z2") + big.var("t") * big.var("z2")], [])
         report = validate_action(action)
         assert report.failures == ["compatibility"]
 
@@ -38,7 +38,7 @@ class TestValidateAction:
         law = vector_law(1, QQ)
         ring = PolyRing(["z1"], QQ)
         big = PolyRing(["z1", "t"], QQ)
-        action = CoAction(law, ring, [big.var("z1")])
+        action = CoAction(law, ring, [big.var("z1")], [])
         report = validate_action(action)
         assert report.passed and report.get("fully-trivial") == "true"
 
@@ -46,7 +46,7 @@ class TestValidateAction:
         law = vector_law(1, QQ)
         ring = PolyRing(["t", "z"], QQ)
         with pytest.raises(ValidationError, match="collide"):
-            CoAction(law, ring, [ring.var("t"), ring.var("z")])
+            CoAction(law, ring, [ring.var("t"), ring.var("z")], [])
 
 
 class TestPushforward:
@@ -157,10 +157,20 @@ class TestGmAction:
     def test_validate(self, gm_diag):
         assert validate_gm_action(gm_diag.action).passed
 
+    @pytest.mark.parametrize("num, den", [("x", "x + w"), ("y", "x")])
+    def test_image_must_be_a_laurent_polynomial(self, num, den):
+        """x / (x + w) and y / x are fractions of k[x, y, w] whose
+        denominators are not powers of w, so they have no weight components."""
+        ring = PolyRing(["x", "y"], QQ)
+        ext = ring.extend(["w"])
+        image = RationalFunction(parse_polynomial(num, ext), parse_polynomial(den, ext))
+        with pytest.raises(ValidationError, match="image of x is not a Laurent"):
+            GmCoAction(ring, [image, RationalFunction.from_poly(ext.var("y"))], [])
+
     def test_unit_axiom_violation_detected(self):
         ring = PolyRing(["x"], QQ)
         x, w = ring.extend(["w"]).gens()
-        bad = GmCoAction(ring, [RationalFunction.from_poly(w * x + x)])
+        bad = GmCoAction(ring, [RationalFunction.from_poly(w * x + x)], [])
         report = validate_gm_action(bad)
         assert "unit-axiom" in report.failures
 

@@ -131,7 +131,7 @@ class TestVerbs:
         assert "relation1: z1*w^2 + z2" in out
         assert "cover-pair-classification: principle" in out
         cover = parse_problem(out_path.read_text(encoding="utf-8"))
-        assert [r.text() for r in cover.relations] == ["z1*w^2 + z2"]
+        assert [r.text() for r in cover.action.relations] == ["z1*w^2 + z2"]
         code, _ = invoke(capsys, "check-pair", str(out_path), "--pair", "1")
         assert code == 0
 

@@ -86,6 +86,21 @@ class TestVerifyGenerators:
 
 
 class TestRelationsPresentation:
+    # the quotient file of test_cli.TestRelationLines: z1/(1 + z2) is a pair
+    # for z1 -> z1 + t modulo <z2> only
+    QUOTIENT = ("field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n"
+                "mult t = a1 + b1\ninv t = -t\nact z1 = z1 + t\nact z2 = z2\n"
+                "pair 1 g z1\npair 1 h 1 + z2\n")
+
+    def test_library_calls_honour_the_relation_lines(self):
+        """README's library snippet agrees with `check-pair` and
+        `invariants --relations` on a quotient ring: the action carries I."""
+        problem = parse_problem(self.QUOTIENT)
+        pair = pair_from_problem(problem, 1)
+        assert check_alpha_pair(problem.action, pair).get("identity") == "pass"
+        presentation = relations_presentation(dixmier_generators(problem.action, pair))
+        assert [g.text() for g in presentation.gens] == ["W2", "W1"]
+
     def test_e1(self, e1):
         basis = dixmier_generators(e1.action, verified_pair(e1))
         presentation = relations_presentation(basis)
@@ -126,12 +141,12 @@ class TestRelationsPresentation:
         assert certified.ring.names == full.ring.names
         assert [g.text() for g in certified.gens] == [g.text() for g in full.gens]
 
-    def test_dependent_generators_fall_back(self):
-        ring = PolyRing(["z1", "z2"], QQ)
-        z1 = ring.var("z1")
+    def test_dependent_generators_fall_back(self, e1):
+        """Generators of e1's ring z1 z2, which has no relations."""
+        z1 = e1.ring.var("z1")
         fs = [RationalFunction.from_poly(z1), RationalFunction.from_poly(z1 * z1),
-              RationalFunction.zero(ring)]
-        presentation = relations_presentation(InvariantBasis(None, None, fs,
+              RationalFunction.zero(e1.ring)]
+        presentation = relations_presentation(InvariantBasis(e1.action, None, fs,
                                                              None, None, None))
         assert [g.text() for g in presentation.gens] == ["W3", "W1^2 - W2"]
 
@@ -199,7 +214,7 @@ class TestFactorThroughKernel:
         v = [m.subs_poly({**dict(zip(a_names, frob_y)),
                           **dict(zip(b_names, z_vars))})
              for m in law.mult]
-        action = CoAction(law, ring, v)
+        action = CoAction(law, ring, v, [])
         assert validate_action(action).passed
         alpha = Endomorphism(law, [law.coords_ring.var(c) ** 2 for c in law.coords])
         new_action, report = factor_through_kernel(action, alpha)

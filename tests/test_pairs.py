@@ -207,7 +207,7 @@ class TestKernelActsTrivially:
         line = vector_law(1, field)
         big = PolyRing(["z1", "z2", "t"], field)
         z1, z2, t = big.gens()
-        cases = [CoAction(line, ring, [z1 + t, z2 + big.one() + t * z1])]
+        cases = [CoAction(line, ring, [z1 + t, z2 + big.one() + t * z1], [])]
         for _ in range(30):
             law = rng.choice([line, vector_law(2, field), heisenberg_law(field)])
             big = PolyRing(ring.names + law.coords, field)
@@ -217,7 +217,7 @@ class TestKernelActsTrivially:
                 if rng.random() < 0.6:
                     shift = shift * big.var(rng.choice(law.coords))
                 v.append(z + shift)
-            cases.append(CoAction(law, ring, v))
+            cases.append(CoAction(law, ring, v, []))
         verdicts = []
         for action in cases:
             alpha = action.law.identity_endomorphism()
@@ -232,7 +232,7 @@ class TestKernelActsTrivially:
         ring = PolyRing(["z1", "z2"], FieldSpec.prime(2))
         big = PolyRing(["z1", "z2", "t"], FieldSpec.prime(2))
         action = CoAction(law, ring,
-                          [big.var("z1"), big.var("z2") + big.var("t") * big.var("z1")])
+                          [big.var("z1"), big.var("z2") + big.var("t") * big.var("z1")], [])
         alpha = Endomorphism(law, [law.coords_ring.var("t") ** 2])
         assert not kernel_acts_trivially(action, alpha)
 
@@ -271,7 +271,7 @@ class TestCheckAlphaPair:
         law = vector_law(1, QQ)
         ring = PolyRing(["z1"], QQ)
         big = PolyRing(["z1", "t"], QQ)
-        action = CoAction(law, ring, [big.var("z1")])
+        action = CoAction(law, ring, [big.var("z1")], [])
         pair = AlphaPair(law.identity_endomorphism(), [ring.var("z1")], [ring.one()])
         with pytest.raises(ValidationError, match="trivial"):
             check_alpha_pair(action, pair)
@@ -383,7 +383,7 @@ class TestFppfCover:
         check_alpha_pair(e2.action, pair)
         cover, report = build_fppf_cover(e2.action, pair)
         assert report.passed
-        assert [r.text() for r in cover.relations] == ["z1*w^2 + z2"]
+        assert [r.text() for r in cover.action.relations] == ["z1*w^2 + z2"]
         assert cover.action.v_for("w").text() == "w + t"
         g, h = cover.pairs[1]
         assert (g[0].text(), h[0].text()) == ("w", "1")
@@ -394,14 +394,14 @@ class TestFppfCover:
         pair = pair_from_problem(e1, 1)
         check_alpha_pair(e1.action, pair)
         cover, report = build_fppf_cover(e1.action, pair)
-        assert [r.text() for r in cover.relations] == ["z1*w - z2"]
+        assert [r.text() for r in cover.action.relations] == ["z1*w - z2"]
         assert report.passed
 
     def test_frobenius_squared_cover(self, e2_frob2):
         pair = pair_from_problem(e2_frob2, 1)
         check_alpha_pair(e2_frob2.action, pair)
         cover, report = build_fppf_cover(e2_frob2.action, pair)
-        assert [r.text() for r in cover.relations] == ["z1*w^4 + z2"]
+        assert [r.text() for r in cover.action.relations] == ["z1*w^4 + z2"]
         assert report.passed
 
     def test_relation_ideal_is_action_stable(self, e2):
@@ -409,8 +409,8 @@ class TestFppfCover:
         check_alpha_pair(e2.action, pair)
         cover, _ = build_fppf_cover(e2.action, pair)
         big = cover.action.big_ring
-        basis = groebner(Ideal(big, [r.cast(big) for r in cover.relations]))
-        for rel in cover.relations:
+        basis = groebner(Ideal(big, [r.cast(big) for r in cover.action.relations]))
+        for rel in cover.action.relations:
             pushed = cover.action.pushforward(RationalFunction.from_poly(rel))
             assert normal_form(pushed.as_polynomial(), basis).is_zero()
 

@@ -10,7 +10,7 @@ substitution kernel and builds tables of powers, `Polynomial` and
 polynomial is a fraction F / w^k), `linalg.echelon` is the one row
 elimination, a pair's verdicts are set by `check_alpha_pair` alone, a
 graph ideal is eliminated only on the routes the Jacobian certificate falls
-back to,
+back to, the relation ideal travels with the action alone,
 `cli.py` and the package import no algebra module when they are loaded, and
 a principle pair without relations is checked without Buchberger."""
 
@@ -76,7 +76,7 @@ def test_benchmark_workloads_build_and_pass(tmp_path, monkeypatch):
 # (module, function) pairs that build a new law from mult_var_names
 LAW_BUILDERS = {("problem.py", "parse_problem"), ("invariants.py", "nagata_build")}
 LAW_PARTS = {"mult", "phi"}
-SUBSTITUTIONS = {"subs_poly", "subs_rational", "substitute"}
+SUBSTITUTIONS = {"subs_poly", "subs_rational"}
 
 
 def _reads_law_part(node, tainted):
@@ -128,9 +128,7 @@ def law_wiring_offenders(src_dir):
             if isinstance(f, ast.Name) and f.id == "mult_var_names" \
                     and (path.name, func) not in LAW_BUILDERS:
                 offenders.append(f"{where}: mult_var_names")
-            if isinstance(f, ast.Name) and f.id == "substitute" and call.args:
-                receiver = call.args[0]
-            elif isinstance(f, ast.Attribute) and (
+            if isinstance(f, ast.Attribute) and (
                     f.attr in SUBSTITUTIONS
                     or (f.attr == "cast" and any(k.arg == "rename" for k in call.keywords))):
                 receiver = f.value
@@ -401,6 +399,40 @@ def test_graph_elimination_check_sees_every_form(tmp_path):
         "def other(ideal, keep):\n    return eliminate(ideal, keep)\n",
         encoding="utf-8")
     assert graph_eliminations(tmp_path) == {"mod.py:direct", "mod.py:named"}
+
+
+def relation_slots(src_dir):
+    """The functions, as "module:function", taking both an `action` and a
+    `relations` parameter, and "module:ProblemFile.__slots__" when that
+    class's slots name `relations`."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and {"action", "relations"} <= {
+                    a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}:
+                found.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef) and node.name == "ProblemFile" and any(
+                    isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__slots__"
+                    and "relations" in ast.literal_eval(stmt.value) for stmt in node.body):
+                found.append(f"{path.name}:ProblemFile.__slots__")
+    return found
+
+
+def test_the_action_owns_the_relation_ideal():
+    """A = k[Z]/I belongs to the co-action, so no verb can be handed an
+    action without its relations, and a problem keeps no second copy."""
+    assert relation_slots(ROOT / "src" / "pairkit") == []
+
+
+def test_relation_slot_check_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def check(action, pair, relations=None):\n    pass\n"
+        "def keyword(action, *, relations):\n    pass\n"
+        "def ring_level(functions, relations=None):\n    pass\n"
+        "class ProblemFile:\n    __slots__ = ('ring', 'relations')\n"
+        "class Other:\n    __slots__ = ('relations',)\n", encoding="utf-8")
+    assert relation_slots(tmp_path) == ["mod.py:check", "mod.py:keyword",
+                                        "mod.py:ProblemFile.__slots__"]
 
 
 # the modules the CLI and the package may import when they are loaded
