@@ -70,11 +70,6 @@ class FieldSpec:
                 f"denominator {value.denominator} is divisible by the modulus {self.p}")
         return num * pow(den, -1, self.p) % self.p
 
-    def from_int(self, value: int):
-        if self.p is None:
-            return Fraction(value)
-        return value % self.p
-
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
 

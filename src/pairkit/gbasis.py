@@ -55,12 +55,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.polys)
 
-    def is_unit_ideal(self) -> bool:
-        return any(p.is_constant() and not p.is_zero() for p in self.polys)
-
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self).is_zero()
-
     def __repr__(self):
         inside = ", ".join(p.text() for p in self.polys) or "0"
         return f"GB[{self.order!r}]{{{inside}}}"

@@ -9,7 +9,7 @@ presentations violating that are reported as failures, not re-coordinatized.
 
 from .errors import ValidationError
 from .fields import FieldSpec
-from .poly import Polynomial, PolyRing, RationalFunction
+from .poly import Polynomial, PolyRing
 from .report import Report
 
 
@@ -58,9 +58,6 @@ class GroupLaw:
             raise ValidationError(f"tuple arity must be {self.s}")
         assignment = dict(zip(self.coords, u))
         return [p.subs_rational(assignment) for p in self.inv]
-
-    def origin_tuple(self, ring: PolyRing):
-        return [RationalFunction.zero(ring) for _ in range(self.s)]
 
     def __eq__(self, other):
         return isinstance(other, GroupLaw) \

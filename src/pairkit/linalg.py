@@ -114,7 +114,8 @@ def jacobian_rank(functions) -> int:
     """The Jacobian rank in characteristic 0, where it equals the
     transcendence degree of the functions.  Refused over prime fields, where
     a short rank proves nothing (see `formal_jacobian_rank`); use
-    `transcendence_degree`, which eliminates whenever the rank falls short.
+    `pairs.trdeg_and_rank`, the route of every verb, which eliminates
+    whenever the rank falls short.
     """
     if not functions:
         raise ValidationError("empty function list")

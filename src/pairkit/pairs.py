@@ -11,7 +11,7 @@ import math
 
 from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
-from .gbasis import Ideal, eliminate, groebner, lead_dimension, normal_form
+from .gbasis import Ideal, eliminate, groebner, lead_dimension, normal_form, saturate
 from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
 from .linalg import formal_jacobian_rank
 from .orders import GREVLEX, BlockOrder
@@ -49,13 +49,23 @@ class AlphaPair:
 
 
 def pair_from_problem(problem: ProblemFile, idx: int) -> AlphaPair:
-    """Pair `idx` of a problem, with alpha = the endo section or the identity."""
+    """Pair `idx` of a problem, with alpha = the endo section or the identity.
+
+    The g_i/h_i live on D(H) in Spec(A), so a pair whose H is nilpotent in
+    A = k[Z]/I, that is I : H^infty = <1>, is refused; a zero-divisor H is
+    kept."""
     if problem.is_gm:
         raise ValidationError("pairs require a unipotent action")
     g, h = problem.pair(idx)
     alpha = problem.endo if problem.endo is not None \
         else problem.group.identity_endomorphism()
-    return AlphaPair(alpha, g, h)
+    pair = AlphaPair(alpha, g, h)
+    H, relations = pair.H, problem.action.relations
+    if relations and not H.is_constant() and any(
+            p.is_constant() for p in saturate(Ideal(problem.ring, relations), H).gens):
+        raise ValidationError(f"pair {idx}: H = {H.text()} is nilpotent modulo the "
+                              "relations, so g/h is undefined in A")
+    return pair
 
 
 def residues(pairs, relations=None):

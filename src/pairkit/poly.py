@@ -175,11 +175,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise AlgebraError("polynomial is not constant")
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -231,20 +226,10 @@ class Polynomial:
     def scale(self, coeff) -> "Polynomial":
         return _reduced(self.ring, {e: c * coeff for e, c in self.terms.items()})
 
-    def mul_monomial(self, exps, coeff) -> "Polynomial":
-        return _reduced(self.ring, {_mono_mul(e, exps): c * coeff
-                                    for e, c in self.terms.items()})
-
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative polynomial power")
         return power(self, n, self.ring.one())
-
-    def monic(self, order=GREVLEX) -> "Polynomial":
-        lead = self.leading(order)
-        if lead is None:
-            return self
-        return self.scale(self.ring.field.inv(lead[1]))
 
     def derivative(self, name: str) -> "Polynomial":
         # lowering exponent i is injective on the terms with e[i] > 0
@@ -413,16 +398,8 @@ class RationalFunction:
         return RationalFunction(p, p.ring.one())
 
     @staticmethod
-    def zero(ring: PolyRing) -> "RationalFunction":
-        return RationalFunction(ring.zero(), ring.one())
-
-    @staticmethod
     def one(ring: PolyRing) -> "RationalFunction":
         return RationalFunction(ring.one(), ring.one())
-
-    @staticmethod
-    def constant(ring: PolyRing, value) -> "RationalFunction":
-        return RationalFunction(ring.const(value), ring.one())
 
     # -- queries -------------------------------------------------------------------
 
@@ -431,14 +408,6 @@ class RationalFunction:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.den.is_one():
-            raise AlgebraError(f"not a polynomial: {self}")
-        return self.num
 
     # -- arithmetic ---------------------------------------------------------------------
 

@@ -60,9 +60,8 @@ class TestPushforward:
         assert out == expected
 
     def test_constant(self, e1):
-        out = e1.action.pushforward(RationalFunction.constant(
-            e1.ring, Fraction(5)))
-        assert out == RationalFunction.constant(e1.action.big_ring, Fraction(5))
+        out = e1.action.pushforward(RationalFunction.from_poly(e1.ring.const(Fraction(5))))
+        assert out == RationalFunction.from_poly(e1.action.big_ring.const(Fraction(5)))
 
     def test_heisenberg_regular(self, heisenberg):
         v3 = heisenberg.action.pushforward(
@@ -166,6 +165,15 @@ class TestGmAction:
         image = RationalFunction(parse_polynomial(num, ext), parse_polynomial(den, ext))
         with pytest.raises(ValidationError, match="image of x is not a Laurent"):
             GmCoAction(ring, [image, RationalFunction.from_poly(ext.var("y"))], [])
+
+    def test_image_must_lie_in_the_weight_ring(self):
+        """Fractions of k[x, y] itself would be read with y taken for w."""
+        ring = PolyRing(["x", "y"], QQ)
+        x, y = ring.gens()
+        with pytest.raises(ValidationError, match="image of x lies in Q\\[x, y\\], "
+                                                  "not in Q\\[x, y, w\\]"):
+            GmCoAction(ring, [RationalFunction.from_poly(x * y),
+                              RationalFunction.from_poly(y)], [])
 
     def test_unit_axiom_violation_detected(self):
         ring = PolyRing(["x"], QQ)

@@ -505,6 +505,39 @@ class TestRelationLines:
         code, out = invoke(capsys, "pedestal", problem, "--which", "all")
         assert code == 1 and "pair1-verified: FAIL" in out
 
+    UNIPOTENT3 = ("field Q\nring z1 z2 z3\nrelation z2*z3\ngroup dim 2 coords t1 t2\n"
+                  "mult t1 = a1 + b1\nmult t2 = a2 + b2\ninv t1 = -t1\ninv t2 = -t2\n"
+                  "act z1 = z1 + t1\nact z2 = z2\nact z3 = z3 + t2\n")
+
+    @pytest.mark.parametrize("text, H", [
+        (HEAD + "pair 1 g z1\npair 1 h z2\n", "z2"),
+        (HEAD.replace("relation z2", "relation z2^2") + "pair 1 g z1\npair 1 h z2\n", "z2"),
+        (UNIPOTENT3 + "pair 1 g z1\npair 1 h z2\npair 1 g z3\npair 1 h z3\n", "z2*z3"),
+    ], ids=["h-in-I", "h-squared-in-I", "product-in-I"])
+    def test_nilpotent_H_is_refused(self, tmp_path, capsys, text, H):
+        """g/h is undefined in A when H is nilpotent there: the graph ideal is
+        the unit ideal, which once read as trdeg -1."""
+        problem = tmp_path / "nilpotent.prob"
+        problem.write_text(text, encoding="utf-8")
+        for verb in ("check-pair", "trdeg"):
+            code = run([verb, str(problem), "--pair", "1"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"pair 1: H = {H} is nilpotent" in captured.err
+
+    def test_zero_divisor_h_is_kept(self, tmp_path, capsys):
+        """h = z2 is a zero-divisor of k[z]/<z2*z3>, not nilpotent: the verbs
+        work on D(z2), where z3 = 0."""
+        problem = tmp_path / "zero-divisor.prob"
+        problem.write_text(
+            "field Q\nring z1 z2 z3\nrelation z2*z3\ngroup dim 1 coords t\n"
+            "mult t = a1 + b1\ninv t = -t\nact z1 = z1 + t*z2\nact z2 = z2\nact z3 = z3\n"
+            "pair 1 g z1\npair 1 h z2\n", encoding="utf-8")
+        code, out = invoke(capsys, "check-pair", str(problem), "--pair", "1")
+        assert code == 0 and "identity: pass" in out and "trdeg: 1" in out
+        code, out = invoke(capsys, "trdeg", str(problem), "--pair", "1")
+        assert code == 0 and "trdeg: 1" in out
+
     def test_fppf_cover_keeps_the_relations(self, tmp_path, capsys):
         """The cover ring is k[z, w] modulo the base relations and the new
         ones, so the emitted file is a cover of the quotient."""

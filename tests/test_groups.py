@@ -85,7 +85,7 @@ class TestIdentityLinesFixTheLinearPart:
             for _ in range(rng.randint(0, 2)):
                 # mixed a*b terms keep both identity lines; the rest break one
                 term = pool[4]() if rng.random() < 0.5 else rng.choice(pool)()
-                m = m + term.scale(field.from_int(rng.choice([-3, -1, 1, 2, 3])))
+                m = m + term.scale(field.from_fraction(Fraction(rng.choice([-3, -1, 1, 2, 3]))))
             mult.append(m)
         return GroupLaw(["t1", "t2"], field, mult, [-g for g in cring.gens()]), a, b
 
@@ -232,7 +232,7 @@ class TestTupleArithmetic:
     def test_invert_origin(self):
         law = heisenberg_law(QQ)
         R = PolyRing(["z1"], QQ)
-        origin = law.origin_tuple(R)
+        origin = [RationalFunction.from_poly(R.zero())] * law.s
         assert law.invert_tuple(origin) == origin
 
     def test_multiply_against_inverse_gives_origin(self):

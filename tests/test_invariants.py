@@ -145,7 +145,7 @@ class TestRelationsPresentation:
         """Generators of e1's ring z1 z2, which has no relations."""
         z1 = e1.ring.var("z1")
         fs = [RationalFunction.from_poly(z1), RationalFunction.from_poly(z1 * z1),
-              RationalFunction.zero(e1.ring)]
+              RationalFunction.from_poly(e1.ring.zero())]
         presentation = relations_presentation(InvariantBasis(e1.action, None, fs,
                                                              None, None, None))
         assert [g.text() for g in presentation.gens] == ["W3", "W1^2 - W2"]

@@ -67,7 +67,7 @@ class TestJacobianRank:
         assert formal_jacobian_rank([f]) == 0
 
     def test_rational_matrix_rank_zero(self):
-        zero = RationalFunction.zero(self.R)
+        zero = RationalFunction.from_poly(self.R.zero())
         assert bool(zero) is False
         assert len(echelon([[zero, zero]], RationalFunction.inverse)[1]) == 0
 

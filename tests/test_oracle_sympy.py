@@ -53,7 +53,8 @@ def sympy_basis(polys, ring: PolyRing, order="grevlex"):
             value = ring.field.from_fraction(Fraction(int(c.p), int(c.q)))
             if value != ring.field.zero():
                 terms[tuple(int(e) for e in exps)] = value
-        out.append(Polynomial(ring, terms).monic())
+        f = Polynomial(ring, terms)
+        out.append(f.scale(ring.field.inv(f.leading()[1])))
     return out
 
 

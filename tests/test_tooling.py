@@ -11,8 +11,9 @@ polynomial is a fraction F / w^k), `linalg.echelon` is the one row
 elimination, a pair's verdicts are set by `check_alpha_pair` alone, a
 graph ideal is eliminated only on the routes the Jacobian certificate falls
 back to, the relation ideal travels with the action alone,
-`cli.py` and the package import no algebra module when they are loaded, and
-a principle pair without relations is checked without Buchberger."""
+`cli.py` and the package import no algebra module when they are loaded,
+a principle pair without relations is checked without Buchberger, and every
+function in `src/` has a caller there or is exported."""
 
 import ast
 import importlib
@@ -433,6 +434,64 @@ def test_relation_slot_check_sees_every_form(tmp_path):
         "class Other:\n    __slots__ = ('relations',)\n", encoding="utf-8")
     assert relation_slots(tmp_path) == ["mod.py:check", "mod.py:keyword",
                                         "mod.py:ProblemFile.__slots__"]
+
+
+def uncalled_functions(src_dir):
+    """The functions and methods, as "module.qualified name", that `src/`
+    never calls: the name is referenced (as a name or an attribute) nowhere
+    outside the function's own body, it is not a top-level function listed
+    for its module in the package's `_EXPORTS`, and it is not a dunder.
+
+    The test is by name, so a method that shares its name with another
+    callable passes: `RationalFunction.zero` with no caller would hide
+    behind every `ring.zero()` of `PolyRing.zero`."""
+    init = ast.parse((src_dir / "__init__.py").read_text(encoding="utf-8"))
+    exports = next(ast.literal_eval(node.value) for node in init.body
+                   if isinstance(node, ast.Assign)
+                   and ast.unparse(node.targets[0]) == "_EXPORTS")
+    defs, refs = [], {}     # refs: name -> the sets of functions enclosing each use
+
+    def visit(node, module, scope, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            defs.append((module, scope + [node.name], node))
+            enclosing = enclosing | {node}
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name:
+            refs.setdefault(name, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope, enclosing)
+
+    for path in sorted(src_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [], frozenset())
+    return [f"{module}.{'.'.join(scope)}" for module, scope, node in defs
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and not (len(scope) == 1 and node.name in exports.get(module, ()))
+            and all(node in enclosing for enclosing in refs.get(node.name, []))]
+
+
+def test_every_src_function_has_a_caller():
+    """A helper only the tests call is not kept in `src/`: its uses there
+    move onto the public API, or into `tests/oracles.py`."""
+    assert uncalled_functions(ROOT / "src" / "pairkit") == []
+
+
+def test_uncalled_function_check_sees_every_form(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        '_EXPORTS = {"mod": ("exported",)}\n', encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "def exported():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def planted(n):\n    return planted(n - 1) if n else 0\n"
+        "class C:\n    def __eq__(self, other):\n        return self.used() == other\n"
+        "    def used(self):\n        return 2\n"
+        "    def method(self):\n        def inner():\n            return 3\n"
+        "        return inner()\n", encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "def exported():\n    pass\n", encoding="utf-8")
+    assert uncalled_functions(tmp_path) == ["mod.planted", "mod.C.method", "other.exported"]
 
 
 # the modules the CLI and the package may import when they are loaded
