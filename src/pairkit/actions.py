@@ -1,8 +1,8 @@
 """Co-actions of unipotent groups and of the multiplicative torus.
 
 Each co-action owns the coordinate ring A = k[Z]/I it acts on: the ring
-k[Z] and the generators of the relation ideal I, so every check that works
-modulo I reads I from the action.  A unipotent co-action stores one
+k[Z] and the generators of the relation ideal I, and `CoAction.residue` is
+the one place equality in A is decided.  A unipotent co-action stores one
 polynomial v_i(Z, Y) per space variable, in the combined ring k[Z, coords].
 A torus co-action stores one Laurent polynomial per space variable, as the
 rational function F / w^k of k[Z, w] (w last, F not divisible by w unless
@@ -17,7 +17,7 @@ from .report import Report
 
 
 class CoAction:
-    __slots__ = ("law", "ring", "big_ring", "v", "relations")
+    __slots__ = ("law", "ring", "big_ring", "v", "relations", "_basis")
 
     def __init__(self, law: GroupLaw, ring: PolyRing, v, relations):
         if set(ring.names) & set(law.coords):
@@ -32,6 +32,7 @@ class CoAction:
         self.big_ring = PolyRing(ring.names + law.coords, ring.field)
         self.v = [p.cast(self.big_ring) for p in v]
         self.relations = [r.cast(ring) for r in relations]
+        self._basis = None
 
     def v_for(self, name: str) -> Polynomial:
         return self.v[self.ring.index(name)]
@@ -58,8 +59,25 @@ class CoAction:
             raise AlgebraError(f"denominator {f.den.text()} maps to zero under the action")
         return RationalFunction(f.num.subs_poly(images), den)
 
+    def residue(self, lhs: RationalFunction, rhs) -> Polynomial:
+        """The cross-multiplied numerator of lhs - rhs in normal form modulo I,
+        zero exactly when lhs = rhs in A (in A[Y] on k[Z, coords]); rhs is cast
+        into lhs's ring.  The reduced grevlex basis of I is built in k[Z] once,
+        at the first nonzero numerator, and cast into the numerator's ring:
+        grevlex there restricts to grevlex on k[Z], so the leads stay leads."""
+        from .gbasis import GroebnerBasis, Ideal, groebner, normal_form
+        ring = lhs.ring
+        rhs = RationalFunction.one(ring) * rhs.cast(ring)     # rhs may be a polynomial
+        diff = lhs.num * rhs.den - rhs.num * lhs.den
+        if diff.is_zero() or not self.relations:
+            return diff
+        self._basis = self._basis or groebner(Ideal(self.ring, self.relations))
+        basis = GroebnerBasis(ring, self._basis.order, [p.cast(ring) for p in self._basis])
+        return normal_form(diff, basis)
+
     def is_invariant(self, f) -> bool:
-        return self.pushforward(f) == f.cast(self.big_ring)
+        """Whether v(f) = f in A[Y], that is modulo I."""
+        return not self.residue(self.pushforward(f), f)
 
     def stabilizer_ideal(self, point) -> "Ideal":
         """<v_i(x, Y) - x_i> in k[coords]; the reduced basis equals the list

@@ -19,7 +19,7 @@ from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
 from .linalg import ExactMatrix, formal_jacobian_rank
 from .orders import BlockOrder
-from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially, residues
+from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
@@ -74,9 +74,8 @@ def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
     assignment = dict(zip(ring.names + law.coords, ring.gens() + b))
     f = [v.subs_rational(assignment) for v in action.v]
 
-    pushed = ((action.pushforward(fi), fi.cast(action.big_ring)) for fi in f)
-    for name, fi, diff in zip(ring.names, f, residues(pushed, action.relations)):
-        if not diff.is_zero():
+    for name, fi in zip(ring.names, f):
+        if not action.is_invariant(fi):
             raise AlgebraError(
                 f"dixmier postcondition failed: f for {name} = {fi.text()} is not "
                 "invariant (the input pair or action is inconsistent)")
@@ -95,16 +94,13 @@ def dixmier_generators(action: CoAction, pair: AlphaPair) -> InvariantBasis:
 
 
 def verify_generators(action: CoAction, basis: InvariantBasis, probes) -> Report:
-    """Check r = r(f_1..f_n) exactly for each invariant probe r."""
+    """Check r = r(f_1..f_n) in A for each probe r invariant in A[Y]."""
     report = Report("generators")
     f_map = basis.substitution()
     for probe in probes:
-        if isinstance(probe, Polynomial):
-            probe = RationalFunction.from_poly(probe)
         if not action.is_invariant(probe):
             raise ValidationError(f"probe {probe.text()} is not invariant")
-        evaluated = probe.subs_rational(f_map)
-        diff = evaluated.num * probe.den - probe.num * evaluated.den
+        diff = action.residue(probe.subs_rational(f_map), probe)
         report.check(f"probe[{probe.text()}]", diff.is_zero(),
                      None if diff.is_zero() else diff.text())
     return report

@@ -68,33 +68,15 @@ def pair_from_problem(problem: ProblemFile, idx: int) -> AlphaPair:
     return pair
 
 
-def residues(pairs, relations=None):
-    """For each (lhs, rhs) in one ring, the cross-multiplied numerator of
-    lhs - rhs in normal form modulo the relations, zero exactly when lhs = rhs
-    holds modulo them; their basis is built at the first nonzero difference."""
-    basis = None
-    for lhs, rhs in pairs:
-        diff = lhs.num * rhs.den - rhs.num * lhs.den
-        if relations and not diff.is_zero():
-            ring = diff.ring
-            basis = basis or groebner(Ideal(ring, [r.cast(ring) for r in relations]), GREVLEX)
-            diff = normal_form(diff, basis)
-        yield diff
-
-
 def check_pair_identity(action: CoAction, pair: AlphaPair):
-    """Compare (g_i/h_i)(w*x) against alpha(w) . (g_i/h_i)(x) componentwise,
-    modulo the action's relation ideal.
-
-    Returns (ok, witness): witness is the first nonzero cross-multiplied
-    difference numerator, in normal form modulo the relations.
-    """
-    law = pair.law
+    """Compare (g_i/h_i)(w*x) against alpha(w) . (g_i/h_i)(x) componentwise in
+    A[Y].  Returns (ok, witness), the witness the first nonzero residue."""
     big = action.big_ring
     fractions = pair.fractions()
-    rhs = law.multiply_tuples(pair.alpha.apply(big.gens()[action.ring.nvars:]),
-                              [f.cast(big) for f in fractions])
-    for diff in residues(zip(map(action.pushforward, fractions), rhs), action.relations):
+    rhs = pair.law.multiply_tuples(pair.alpha.apply(big.gens()[action.ring.nvars:]),
+                                   [f.cast(big) for f in fractions])
+    for f, r in zip(fractions, rhs):
+        diff = action.residue(action.pushforward(f), r)
         if not diff.is_zero():
             return False, diff.text()
     return True, None
@@ -123,10 +105,14 @@ def trdeg_by_elimination(functions, relations=None) -> int:
     """trdeg of k[functions] (modulo the relations) by elimination: the
     dimension of the graph ideal's contraction to the tags T_i, read off the
     leads of its generators, a grevlex basis already.  The authoritative
-    route, valid in any characteristic."""
+    route, valid in any characteristic.  The graph ideal is the unit ideal,
+    which raises, when the denominators are nilpotent modulo the relations."""
     contraction = eliminate(*graph_ideal(functions, "T", relations))
-    return lead_dimension([p.leading(GREVLEX)[0] for p in contraction.gens],
-                          contraction.ring.nvars)
+    degree = lead_dimension([p.leading(GREVLEX)[0] for p in contraction.gens],
+                            contraction.ring.nvars)
+    if degree < 0:
+        raise ValidationError("the denominators are nilpotent modulo the relations")
+    return degree
 
 
 def trdeg_and_rank(functions, relations=None) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,12 @@ from pairkit.actions import (CoAction, GmCoAction, gm_weight_components,
                              is_semi_invariant, laurent_components,
                              validate_action, validate_gm_action)
 from pairkit.errors import AlgebraError, ParseError, ValidationError
-from pairkit.fields import QQ
-from pairkit.gbasis import buchberger
+from pairkit.fields import QQ, FieldSpec
+from pairkit.gbasis import Ideal, buchberger, groebner
 from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_polynomial, parse_problem
 
+from oracles import in_ideal_bruteforce, random_polynomial
 from test_groups import vector_law
 
 
@@ -105,6 +107,57 @@ class TestIsInvariant:
             for g in invariants:
                 assert e1.action.is_invariant(f * g)
                 assert e1.action.is_invariant(f + g)
+
+
+class TestResidue:
+    """`CoAction.residue` is zero exactly when the cross-multiplied numerator
+    of lhs - rhs lies in I, by the linear-algebra oracle, over seeded random
+    relation ideals of k[z1, z2] and fractions of k[z1, z2] and k[z1, z2, t]."""
+
+    @staticmethod
+    def fraction(ring, rng):
+        den = random_polynomial(ring, rng, 1, 2) + ring.one()
+        return RationalFunction(random_polynomial(ring, rng, 2, 3),
+                                ring.one() if den.is_zero() else den)
+
+    @pytest.mark.parametrize("field", [QQ, FieldSpec.prime(2), FieldSpec.prime(7)],
+                             ids=["Q", "F2", "F7"])
+    def test_agrees_with_bruteforce_membership(self, field):
+        rng = random.Random(20261020)
+        ring = PolyRing(["z1", "z2"], field)
+        big = PolyRing(["z1", "z2", "t"], field)
+        for _ in range(5):
+            relations = [g for g in (random_polynomial(ring, rng, 2, 2) for _ in range(2))
+                         if not g.is_zero()] or [ring.var("z2")]
+            action = CoAction(vector_law(1, field), ring,
+                              [big.var("z1") + big.var("t"), big.var("z2")], relations)
+            for target in (ring, big):
+                gens = [r.cast(target) for r in relations]
+                lhs = self.fraction(target, rng)
+                # a difference planted in I, then an unrelated one
+                q = random_polynomial(target, rng, 1, 2)
+                for rhs in (RationalFunction(lhs.num + q * rng.choice(gens), lhs.den),
+                            self.fraction(target, rng)):
+                    numerator = lhs.num * rhs.den - rhs.num * lhs.den
+                    degree = max([numerator.total_degree(), 0]
+                                 + [g.total_degree() for g in gens]) + 2
+                    assert action.residue(lhs, rhs).is_zero() == \
+                        in_ideal_bruteforce(numerator, gens, degree)
+            assert [p.cast(big) for p in action._basis] == \
+                groebner(Ideal(big, [r.cast(big) for r in relations])).polys
+
+    def test_basis_is_built_at_the_first_nonzero_difference(self):
+        """On A = Q[z1, z2]/<z2> under z1 -> z1 + t, z2 is invariant in the
+        free ring already and builds no basis; z1*z2 moves there by t*z2,
+        which is 0 in A[t], and z1 moves by t, which is not."""
+        action = parse_problem(
+            "field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n"
+            "mult t = a1 + b1\ninv t = -t\nact z1 = z1 + t\nact z2 = z2\n").action
+        z1, z2 = action.ring.gens()
+        assert action.is_invariant(z2) and action._basis is None
+        assert action.is_invariant(z1 * z2) and not action.is_invariant(z1)
+        assert [p.text() for p in action._basis] == ["z2"]
+        assert action.residue(action.pushforward(z1), z1).text() == "t"
 
 
 class TestStabilizer:

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from pairkit import pairs
+from pairkit import gbasis, pairs
 from pairkit.cli import run
+from pairkit.orders import GREVLEX
 from pairkit.problem import parse_problem
 
 from conftest import PROBLEMS, child_env, load
@@ -485,6 +486,26 @@ class TestRelationLines:
         problem = self.write(tmp_path, "z1")
         code, out = invoke(capsys, "invariants", problem, "--pair", "1", "--relations")
         assert code == 0 and "relation[1]: W2\nrelation[2]: W1\nstatus: ok" in out
+
+    def test_probe_vanishing_in_A_is_invariant(self, tmp_path, capsys):
+        """z1*z2 is 0 in A: invariant in A[t], and equal there to its value
+        at the generators, though it moves in the free ring."""
+        problem = self.write(tmp_path, "z1")
+        code, out = invoke(capsys, "invariants", problem, "--pair", "1", "--probe", "z1*z2")
+        assert code == 0 and "probe[z1*z2]: pass" in out
+
+    def test_one_basis_of_I_per_action(self, tmp_path, capsys, monkeypatch):
+        """The pair identity and the Dixmier postcondition share the action's
+        one grevlex basis of <z2>; the other Buchberger runs are the
+        nilpotence saturation and the two graph eliminations."""
+        problem = self.write(tmp_path, "z1")
+        calls, real = [], gbasis.buchberger
+        monkeypatch.setattr(gbasis, "buchberger",
+                            lambda *args: calls.append(args) or real(*args))
+        code, _ = invoke(capsys, "invariants", problem, "--pair", "1", "--relations")
+        assert code == 0 and len(calls) == 4
+        assert [[g.text() for g in gens] for gens, order in calls
+                if order == GREVLEX].count(["z2"]) == 1
 
     def test_relations_presentation_of_an_fppf_cover(self, tmp_path, capsys):
         """On the e2 cover, f[w] = 0 and f[z2] = z1*w^2 + z2 lies in the

@@ -16,7 +16,7 @@ from pairkit.pairs import (AlphaPair, build_fppf_cover, check_alpha_pair,
                            kernel_acts_trivially, pair_from_problem, pedestal_ideal_from_pairs,
                            transcendence_degree, trdeg_by_elimination)
 from pairkit.poly import PolyRing, RationalFunction
-from pairkit.problem import parse_polynomial
+from pairkit.problem import parse_polynomial, parse_problem
 
 from conftest import PROBLEMS, load
 from oracles import (identity_kernel_acts_trivially_by_groebner, ideals_equal,
@@ -289,6 +289,30 @@ class TestCheckAlphaPair:
         # H-invariance played no role in the verdict keys
         assert "H-invariant" not in report.failures
 
+
+class TestNilpotentDenominators:
+    """On A = Q[z1, z2]/<z2>, z1/z2 is undefined: its graph ideal is the unit
+    ideal, which once read as trdeg -1 on the library route."""
+
+    QUOTIENT = ("field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n"
+                "mult t = a1 + b1\ninv t = -t\nact z1 = z1 + t\nact z2 = z2\n")
+
+    def test_library_routes_refuse(self):
+        problem = parse_problem(self.QUOTIENT)
+        z1, z2 = problem.ring.gens()
+        with pytest.raises(ValidationError, match="nilpotent modulo the relations"):
+            transcendence_degree([RationalFunction(z1, z2)], [z2])
+        pair = AlphaPair(problem.group.identity_endomorphism(), [z1], [z2])
+        with pytest.raises(ValidationError, match="nilpotent modulo the relations"):
+            check_alpha_pair(problem.action, pair)
+
+    def test_pair_from_problem_keeps_its_refusal(self):
+        """g = z1*z2, h = z2 is z1/1 once the fraction cancels its monomial
+        content; the problem route sees H = z2 before that."""
+        problem = parse_problem(self.QUOTIENT + "pair 1 g z1*z2\npair 1 h z2\n")
+        with pytest.raises(ValidationError, match="pair 1: H = z2 is nilpotent modulo "
+                           "the relations, so g/h is undefined in A"):
+            pair_from_problem(problem, 1)
 
 SHIPPED_PAIRS = [(path.name, idx) for path in sorted(PROBLEMS.glob("*.prob"))
                  for idx in sorted(load(path.name).pairs)]

@@ -12,8 +12,9 @@ elimination, a pair's verdicts are set by `check_alpha_pair` alone, a
 graph ideal is eliminated only on the routes the Jacobian certificate falls
 back to, the relation ideal travels with the action alone,
 `cli.py` and the package import no algebra module when they are loaded,
-a principle pair without relations is checked without Buchberger, and every
-function in `src/` has a caller there or is exported."""
+a principle pair without relations is checked without Buchberger, every
+function in `src/` has a caller there or is exported, and fractions are
+cross-multiplied only in `poly.py` and `CoAction.residue`."""
 
 import ast
 import importlib
@@ -492,6 +493,49 @@ def test_uncalled_function_check_sees_every_form(tmp_path):
     (tmp_path / "other.py").write_text(
         "def exported():\n    pass\n", encoding="utf-8")
     assert uncalled_functions(tmp_path) == ["mod.planted", "mod.C.method", "other.exported"]
+
+
+def cross_multipliers(src_dir):
+    """The functions, as "module:qualified name", outside `poly.py` that
+    multiply a `.num` attribute by a `.den` attribute, in either order."""
+    found = []
+
+    def visit(node, name, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and \
+                {getattr(side, "attr", None) for side in (node.left, node.right)} == \
+                {"num", "den"}:
+            found.append(f"{name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, scope)
+
+    for path in sorted(src_dir.glob("*.py")):
+        if path.name != "poly.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, [])
+    return list(dict.fromkeys(found))
+
+
+def test_only_the_action_decides_equality_in_A():
+    """Equality of fractions modulo I is `CoAction.residue`; no second
+    cross-multiplication, which would ignore I, grows back."""
+    assert cross_multipliers(ROOT / "src" / "pairkit") == ["actions.py:CoAction.residue"]
+
+
+def test_cross_multiplication_check_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def cross(a, b):\n    return a.num * b.den - b.num * a.den\n"
+        "def swapped(a, b):\n    return b.den * a.num\n"
+        "class C:\n    def method(self, f):\n"
+        "        def inner():\n            return f.num * self.den\n"
+        "        return inner()\n"
+        "def quotient_rule(f, z):\n"
+        "    return f.num.derivative(z) * f.den - f.num * f.den.derivative(z)\n"
+        "def summed(a, b):\n    return a.num + b.den\n", encoding="utf-8")
+    (tmp_path / "poly.py").write_text(
+        "def kernel(a, b):\n    return a.num * b.den\n", encoding="utf-8")
+    assert cross_multipliers(tmp_path) == ["mod.py:cross", "mod.py:swapped",
+                                           "mod.py:C.method.inner"]
 
 
 # the modules the CLI and the package may import when they are loaded
