@@ -1,10 +1,14 @@
 """Exact coefficient fields: the rationals and prime fields F_p (p < 2**31).
 
-Rational coefficients are `fractions.Fraction`; F_p coefficients are plain
-ints in the range 0..p-1.  No floating point exists anywhere in the package.
+A coefficient is an int over both fields, in 0..p-1 over F_p.  Over Q,
+`FieldSpec.div` returns a `fractions.Fraction` only for a non-integral
+quotient, and only arithmetic on such a quotient makes more; a Fraction
+equals and hashes like the int of its value.  Only this module knows about
+`Fraction`, and it imports `fractions` only to build one.
+No floating point exists anywhere in the package.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import AlgebraError, ValidationError
 
@@ -26,6 +30,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def rational(value):
+    """An int or `Fraction` as an element of Q; a float or any other value is refused."""
+    if not isinstance(value, int):
+        from fractions import Fraction
+        if not isinstance(value, Fraction):
+            raise ValidationError(f"not an exact rational: {value!r}")
+    return QQ.div(value.numerator, value.denominator)
+
+
 class FieldSpec:
     """A coefficient field: either Q or F_p for a prime p.
 
@@ -40,10 +53,6 @@ class FieldSpec:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def rationals() -> "FieldSpec":
-        return FieldSpec()
-
-    @staticmethod
     def prime(p: int) -> "FieldSpec":
         if p is not None and p >= _PRIME_LIMIT:
             raise ValidationError(f"modulus too large: {p}")
@@ -51,40 +60,32 @@ class FieldSpec:
             raise ValidationError(f"modulus not prime: {p!r}")
         return FieldSpec(p)
 
-    # -- arithmetic on coefficient values ------------------------------------
-
-    def zero(self):
-        return 0 if self.p is not None else Fraction(0)
-
-    def one(self):
-        return 1 if self.p is not None else Fraction(1)
-
-    def from_fraction(self, value: Fraction):
-        """Coerce an exact rational literal into this field."""
-        if self.p is None:
-            return Fraction(value)
-        num = value.numerator % self.p
-        den = value.denominator % self.p
-        if den == 0:
-            raise AlgebraError(
-                f"denominator {value.denominator} is divisible by the modulus {self.p}")
-        return num * pow(den, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
+    # -- division, the one way to make an element from integers --------------
 
     def inv(self, a):
-        if not a:
-            raise AlgebraError("division by zero in the coefficient field")
-        if self.p is not None:
-            return pow(a, -1, self.p)
-        return Fraction(1) / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        """a/b in this field, for integers or field elements a and b.
+
+        Over Q an int when b divides a, else a `Fraction` in lowest terms.
+        Over F_p a/b is brought to lowest terms first, so 4/6 is 2/3, and
+        its denominator must then be prime to p.
+        """
+        if not b:
+            raise AlgebraError("division by zero in the coefficient field")
+        p = self.p
+        if p is not None:
+            g = gcd(a, b)
+            a, b = (a // g, b // g) if b > 0 else (-a // g, -b // g)
+            if b % p == 0:
+                raise AlgebraError(f"denominator {b} is divisible by the modulus {p}")
+            return a * pow(b, -1, p) % p
+        if type(a) is int and type(b) is int and a % b == 0:
+            return a // b
+        from fractions import Fraction
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p
@@ -96,4 +97,4 @@ class FieldSpec:
         return "Q" if self.p is None else f"F{self.p}"
 
 
-QQ = FieldSpec.rationals()
+QQ = FieldSpec()

@@ -214,7 +214,7 @@ def buchberger(gens, order=GREVLEX):
     def push(d):
         exps = max(d, key=order.key)
         d = Polynomial(ring, d).scale(field.inv(d[exps])).terms
-        basis.append((exps, field.one(), d))
+        basis.append((exps, 1, d))
         leads.append(exps)
         for i, t, lcm in _update_pairs(pairs, leads, len(leads) - 1):
             pairs[i, t] = lcm

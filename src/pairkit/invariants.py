@@ -9,11 +9,10 @@ k[f_1..f_n] after inverting Hbar.
 """
 
 import math
-from fractions import Fraction
 
 from .actions import CoAction, validate_action
 from .errors import AlgebraError, InternalCheckError, ValidationError
-from .fields import QQ
+from .fields import QQ, rational
 from .gbasis import Ideal, eliminate, groebner, normal_form, poly_divmod
 from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
                      validate_group_law)
@@ -270,7 +269,7 @@ class NagataSpec:
             raise ValidationError(f"need {n} points with {r} coordinates each")
         self.n = n
         self.r = r
-        self.points = [[Fraction(v) for v in row] for row in points]
+        self.points = [[rational(v) for v in row] for row in points]
         self._check_general_position()
 
     def _check_general_position(self):
@@ -338,7 +337,7 @@ def nagata_oracle_invariants(spec: NagataSpec, problem: ProblemFile):
     for j in range(r):
         total = ring.zero()
         for i in range(n):
-            term = ring.var(f"x{n + i + 1}").scale(QQ.from_fraction(spec.points[i][j]))
+            term = ring.var(f"x{n + i + 1}").scale(spec.points[i][j])
             for l in range(n):
                 if l != i:
                     term = term * ring.var(f"x{l + 1}")

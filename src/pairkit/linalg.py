@@ -1,7 +1,8 @@
 """Exact linear algebra on one Gaussian elimination, `echelon`.
 
-It runs over every field the package uses: Q (`Fraction` entries), F_p
-(ints, reduced mod p) and the rational function field k(z)
+It runs over every field the package uses: Q (ints, and `Fraction`s where
+a division leaves a non-integral rational), F_p (ints, reduced mod p) and
+the rational function field k(z)
 (`RationalFunction` entries).  `ExactMatrix` reads the rank and a nullspace
 basis off it, and the Jacobian criterion reads the rank of a matrix of
 rational functions."""
@@ -77,8 +78,8 @@ class ExactMatrix:
         for free in range(n):
             if free in self.pivots:
                 continue
-            vec = [field.zero()] * n
-            vec[free] = field.one()
+            vec = [0] * n
+            vec[free] = 1
             for col, row, scale in bottom_up:
                 value = -sum(a * b for a, b in zip(row[col + 1:], vec[col + 1:])) * scale
                 vec[col] = value if p is None else value % p

@@ -2,9 +2,11 @@
 
 A polynomial is a dict from exponent tuples to nonzero coefficients, tied to
 a ring (ordered variable names + field).  Coefficients are exact Python
-numbers, `Fraction` over Q and ints in 1..p-1 over F_p.  Arithmetic sums them
-with Python's own operators and reduces each result mod p once, in
-`_reduced`; the constructor drops the zeros.  Printing is canonical: grevlex
+numbers as `fields.py` makes them: ints in 1..p-1 over F_p, and over Q ints,
+with `Fraction`s only downstream of a field division whose quotient was not
+an integer.  Arithmetic sums them with Python's own operators, so int
+coefficients stay ints, and reduces each result mod p once, in `_reduced`;
+the constructor drops the zeros.  Printing is canonical: grevlex
 descending, declaration order inside a monomial, `^` only for exponents >= 2.
 
 Rational functions keep a (numerator, denominator) pair normalized only up
@@ -12,7 +14,6 @@ to monomial content and a monic denominator; equality is decided by
 cross-multiplication, never by gcd canonical forms.
 """
 
-from fractions import Fraction
 from math import prod
 
 from .errors import AlgebraError, ValidationError
@@ -74,20 +75,17 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self.const(self.field.one())
+        return self.const(1)
 
     def const(self, value) -> "Polynomial":
         if not value:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: value})
 
-    def const_fraction(self, value: Fraction) -> "Polynomial":
-        return self.const(self.field.from_fraction(value))
-
     def var(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()})
+        return Polynomial(self, {tuple(exps): 1})
 
     def gens(self):
         return [self.var(n) for n in self.names]
@@ -170,7 +168,7 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ring.nvars: self.ring.field.one()}
+        return self.terms == {(0,) * self.ring.nvars: 1}
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
@@ -246,8 +244,8 @@ class Polynomial:
                 raise ValidationError(f"no value for variable {name!r}")
         names = self.ring.names
         field = self.ring.field
-        total = sum((c * prod(values[names[i]] ** e for i, e in enumerate(exps) if e)
-                     for exps, c in self.terms.items()), field.zero())
+        total = sum(c * prod(values[names[i]] ** e for i, e in enumerate(exps) if e)
+                    for exps, c in self.terms.items())
         return total % field.p if field.p is not None else total
 
     def subs_poly(self, mapping: dict) -> "Polynomial":
@@ -383,7 +381,7 @@ class RationalFunction:
                 num = Polynomial(ring, {_mono_div(e, shift): c for e, c in num.terms.items()})
                 den = Polynomial(ring, {_mono_div(e, shift): c for e, c in den.terms.items()})
             lc = den.leading(GREVLEX)[1]
-            if lc != ring.field.one():
+            if lc != 1:
                 inv = ring.field.inv(lc)
                 num = num.scale(inv)
                 den = den.scale(inv)

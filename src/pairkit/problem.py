@@ -7,12 +7,11 @@ and a/b rational literals, parentheses; multiplication is always explicit.
 """
 
 import re
-from fractions import Fraction
 from math import comb
 
 from .actions import CoAction, GmCoAction, laurent_components, laurent_text
 from .errors import AlgebraError, ParseError, ValidationError
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 from .groups import Endomorphism, GroupLaw, mult_var_names
 from .poly import Polynomial, PolyRing, RationalFunction
 
@@ -179,8 +178,8 @@ class _ExprParser:
                     if after[1] == 0:
                         raise ParseError("zero denominator in rational literal",
                                          self.line, after[2])
-                    return self.ctx.const(Fraction(tok[1], after[1]), self.line, tok[2])
-            return self.ctx.const(Fraction(tok[1]), self.line, tok[2])
+                    return self.ctx.const(tok[1], after[1], self.line, tok[2])
+            return self.ctx.const(tok[1], 1, self.line, tok[2])
         if tok[0] == "ident":
             return self.ctx.var(tok[1], self.line, tok[2])
         if tok[0] == "op" and tok[1] == "(":
@@ -220,9 +219,9 @@ class _Context:
         self.laurent = laurent
         self.allows_division = division
 
-    def const(self, frac, line, col):
+    def const(self, num, den, line, col):
         try:
-            return self.lift(self.ring.const_fraction(frac))
+            return self.lift(self.ring.const(self.ring.field.div(num, den)))
         except AlgebraError as exc:
             raise ParseError(str(exc), line, col)
 
@@ -300,7 +299,7 @@ def parse_point_value(word: str, field: FieldSpec, line: int):
     if den == 0:
         raise ParseError("zero denominator in rational literal", line)
     try:
-        return field.from_fraction(Fraction(_int(m.group(1), line), den))
+        return field.div(_int(m.group(1), line), den)
     except AlgebraError as exc:
         raise ParseError(str(exc), line)
 
@@ -393,7 +392,7 @@ def parse_problem(text: str) -> ProblemFile:
         elif keyword == "field":
             require(field is None, "duplicate field directive", lineno)
             if len(head_words) == 2 and head_words[1] == "Q":
-                field = FieldSpec.rationals()
+                field = QQ
             elif len(head_words) == 3 and head_words[1] == "Fp":
                 require(head_words[2].isdecimal(), "usage: field Fp <p>", lineno)
                 try:

@@ -44,7 +44,7 @@ def in_ideal_bruteforce(f: Polynomial, gens, degree: int) -> bool:
     if f.total_degree() > degree:
         return False
     index = {e: i for i, e in enumerate(rows_index)}
-    matrix = [[ring.field.zero()] * (len(columns) + 1) for _ in rows_index]
+    matrix = [[0] * (len(columns) + 1) for _ in rows_index]
     for j, col in enumerate(columns):
         for exps, coeff in col.terms.items():
             matrix[index[exps]][j] = coeff
@@ -54,11 +54,12 @@ def in_ideal_bruteforce(f: Polynomial, gens, degree: int) -> bool:
 
 
 def _last_column_is_pivot(matrix, p):
-    """Gauss-Jordan over Fractions (p None) or ints mod p, written apart from
+    """Gauss-Jordan over Q (p None) or ints mod p, written apart from
     `pairkit.linalg`: each column's pivot is any unused row nonzero there, and
     it is cleared from every other row.  The system with the last column as
-    right-hand side is inconsistent iff that column gets a pivot."""
-    inverse = (lambda a: 1 / a) if p is None else (lambda a: pow(a, -1, p))
+    right-hand side is inconsistent iff that column gets a pivot.  Over Q an
+    entry is an int or a Fraction, and its inverse is a Fraction either way."""
+    inverse = (lambda a: Fraction(1) / a) if p is None else (lambda a: pow(a, -1, p))
     used, last = set(), len(matrix[0]) - 1
     for col in range(last + 1):
         pivot = next((r for r, row in enumerate(matrix) if r not in used and row[col]), None)
@@ -118,14 +119,14 @@ def random_polynomial(ring: PolyRing, rng: random.Random, degree: int,
     for _ in range(terms):
         exps = pool[rng.randrange(len(pool))]
         c = rng.randint(-coeff_bound, coeff_bound)
-        out = out + Polynomial(ring, {exps: ring.field.from_fraction(Fraction(c))})
+        out = out + Polynomial(ring, {exps: ring.field.div(c, 1)})
     return out
 
 
 def _random_monomial(ring, rng, max_degree):
     pool = [e for e in monomials_up_to(ring, max_degree) if sum(e) >= 1]
     exps = pool[rng.randrange(len(pool))]
-    return Polynomial(ring, {exps: ring.field.one()})
+    return Polynomial(ring, {exps: 1})
 
 
 def random_rational_tuple(ring, rng: random.Random):
@@ -167,11 +168,11 @@ def random_rational_tuple(ring, rng: random.Random):
                 else ring.one()
         elif roll < 0.85:
             num = _random_monomial(ring, rng, 3).scale(
-                ring.field.from_fraction(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))))
+                ring.field.div(rng.choice([-3, -2, -1, 1, 2, 3]), 1))
             den = _random_monomial(ring, rng, 2) if rng.random() < 0.5 \
                 else ring.one()
         else:
-            num = ring.const(ring.field.from_fraction(Fraction(rng.randint(-3, 3))))
+            num = ring.const(ring.field.div(rng.randint(-3, 3), 1))
             den = ring.one()
         fs.append(RationalFunction(num, den))
     return fs

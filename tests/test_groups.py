@@ -85,7 +85,7 @@ class TestIdentityLinesFixTheLinearPart:
             for _ in range(rng.randint(0, 2)):
                 # mixed a*b terms keep both identity lines; the rest break one
                 term = pool[4]() if rng.random() < 0.5 else rng.choice(pool)()
-                m = m + term.scale(field.from_fraction(Fraction(rng.choice([-3, -1, 1, 2, 3]))))
+                m = m + term.scale(field.div(rng.choice([-3, -1, 1, 2, 3]), 1))
             mult.append(m)
         return GroupLaw(["t1", "t2"], field, mult, [-g for g in cring.gens()]), a, b
 

@@ -298,6 +298,10 @@ class TestNagata:
         problem = nagata_build(spec)
         assert verified_pair(problem).principle
 
+    def test_float_point_is_refused(self):
+        with pytest.raises(ValidationError, match=r"not an exact rational: 0\.1"):
+            NagataSpec(3, 1, [[0.1], [1], [2]])
+
 
 class TestVerifyOracleUpToN4:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -50,8 +50,8 @@ def sympy_basis(polys, ring: PolyRing, order="grevlex"):
     for expr in sympy.groebner(exprs, *symbols, **options).exprs:
         terms = {}
         for exps, c in sympy.Poly(expr, *symbols).as_dict().items():
-            value = ring.field.from_fraction(Fraction(int(c.p), int(c.q)))
-            if value != ring.field.zero():
+            value = ring.field.div(int(c.p), int(c.q))
+            if value:
                 terms[tuple(int(e) for e in exps)] = value
         f = Polynomial(ring, terms)
         out.append(f.scale(ring.field.inv(f.leading()[1])))

@@ -92,6 +92,25 @@ class TestParse:
         assert parse_problem(render_problem(p)) == p
 
 
+class TestRationalLiterals:
+    """a/b is brought to lowest terms before it is read in the field."""
+
+    def test_over_f2(self):
+        ring = PolyRing(["x"], FieldSpec.prime(2))
+        assert parse_polynomial("4/6*x", ring).is_zero()
+        assert parse_polynomial("2/6*x", ring) == ring.var("x")
+        with pytest.raises(ParseError, match="denominator 6 is divisible by the modulus 2"):
+            parse_polynomial("1/6*x", ring)
+
+    def test_over_q(self):
+        ring = PolyRing(["x"], QQ)
+        assert parse_polynomial("4/6", ring) == ring.const(Fraction(2, 3))
+        assert parse_polynomial("4/6", ring).text() == "2/3"
+        two = parse_polynomial("6/3", ring)
+        assert two == ring.const(2) and two.text() == "2"
+        assert [type(c) for c in two.terms.values()] == [int]
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("text,match", [
         ("field Q\nring z\nfrobnicate z\n", "unknown directive"),

@@ -12,7 +12,8 @@ The ring axioms hold for polynomials, rational functions and Laurent
 polynomials over Q, F_2, F_7 and F_(2^31-1), whose unreduced coefficient
 sums pass 2^62.  Polynomial results store only reduced nonzero
 coefficients, evaluation agrees with a per-operation reference, and the
-derivative obeys the Leibniz rule.
+derivative obeys the Leibniz rule.  Over Q a polynomial with int
+coefficients and the same one with equal Fractions behave alike.
 """
 
 from fractions import Fraction
@@ -40,7 +41,8 @@ property_settings = settings(max_examples=60, deadline=None, derandomize=True,
 
 def coefficients(field):
     if field.p is None:
-        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        # as the package makes them: an int, or a Fraction when not integral
+        return st.builds(QQ.div, st.integers(-4, 4), st.integers(1, 3))
     if field.p > 7:
         # residues of small integers of either sign: p - 1 and its neighbours
         # drive the unreduced products and their sums past 2^62
@@ -67,20 +69,22 @@ def points(field, names):
 fields = st.sampled_from(FIELDS)
 
 
+def reduce_mod(field, value):
+    return value if field.p is None else value % field.p
+
+
 def field_pow(field, x, n):
-    if n < 0:
-        x, n = field.inv(x), -n
-    value = field.one()
+    """x^n by repeated multiplication, reduced mod p after each step."""
+    value = 1
     for _ in range(n):
-        value = field.mul(value, x)
+        value = reduce_mod(field, value * x)
     return value
 
 
 def laurent_value(lp: RationalFunction, values, w):
     """The fraction F / w^k at `values` and a nonzero w."""
-    field = lp.ring.field
     at = {**values, "w": w}
-    return field.mul(lp.num.evaluate(at), field.inv(lp.den.evaluate(at)))
+    return lp.ring.field.div(lp.num.evaluate(at), lp.den.evaluate(at))
 
 
 def laurent_polys(ring):
@@ -301,13 +305,19 @@ def test_ring_axioms(field, kind, data):
     assert a + (-a) == zero
 
 
+def assert_element(field, value):
+    """An element as the package stores it: over F_p an int in 0..p-1, over
+    Q an int or a Fraction, never a float."""
+    if field.p is None:
+        assert type(value) in (int, Fraction)
+    else:
+        assert type(value) is int and 0 <= value < field.p
+
+
 def assert_reduced(f: Polynomial):
-    p = f.ring.field.p
     for c in f.terms.values():
-        if p is None:
-            assert type(c) is Fraction and c
-        else:
-            assert type(c) is int and 1 <= c < p
+        assert c
+        assert_element(f.ring.field, c)
 
 
 @property_settings
@@ -325,12 +335,12 @@ def test_polynomial_coefficients_are_reduced(field, data):
 def reference_value(f: Polynomial, values):
     """f at `values`, one field operation at a time."""
     field = f.ring.field
-    total = field.zero()
+    total = 0
     for exps, c in f.terms.items():
         term = c
         for name, e in zip(f.ring.names, exps):
-            term = field.mul(term, field_pow(field, values[name], e))
-        total = field.add(total, term)
+            term = reduce_mod(field, term * field_pow(field, values[name], e))
+        total = reduce_mod(field, total + term)
     return total
 
 
@@ -342,9 +352,9 @@ def test_evaluate_agrees_with_reference_and_respects_arithmetic(field, data):
     at = data.draw(points(field, SOURCE))
     fv, gv = f.evaluate(at), g.evaluate(at)
     assert fv == reference_value(f, at)
-    assert type(fv) is type(field.zero())
-    assert (f + g).evaluate(at) == field.add(fv, gv)
-    assert (f * g).evaluate(at) == field.mul(fv, gv)
+    assert_element(field, fv)
+    assert (f + g).evaluate(at) == reduce_mod(field, fv + gv)
+    assert (f * g).evaluate(at) == reduce_mod(field, fv * gv)
 
 
 @property_settings
@@ -362,3 +372,37 @@ def test_derivative_of_a_pth_power_vanishes(p):
     z1, z2 = ring.var("z1"), ring.var("z2")
     assert (z1 ** p).derivative("z1").is_zero()
     assert not (z1 ** p * z2).derivative("z2").is_zero()
+
+
+# -- over Q an int coefficient and an equal Fraction are one value ---------------------
+
+
+def as_fractions(f: Polynomial) -> Polynomial:
+    """f with every coefficient stored as a Fraction."""
+    return Polynomial(f.ring, {e: Fraction(c) for e, c in f.terms.items()})
+
+
+@property_settings
+@given(data=st.data())
+def test_int_and_fraction_coefficients_agree(data):
+    ring = PolyRing(SOURCE, QQ)
+    target = PolyRing(TARGET, QQ)
+    ints = polynomials(ring).map(
+        lambda f: Polynomial(ring, {e: c.numerator for e, c in f.terms.items()}))
+    f, g = data.draw(ints), data.draw(ints)
+    ff, gf = as_fractions(f), as_fractions(g)
+    assert all(type(c) is int for c in f.terms.values())
+    c = data.draw(st.integers(-4, 4))
+    n = data.draw(st.integers(0, 3))
+    images = {name: RationalFunction(data.draw(polynomials(target, 2, 3)),
+                                     data.draw(nonzero(polynomials(target, 1, 2))))
+              for name in SOURCE}
+    at = data.draw(points(QQ, SOURCE))
+    pairs = [(f + g, ff + gf), (f - g, ff - gf), (f * g, ff * gf), (f ** n, ff ** n),
+             (f.scale(c), ff.scale(Fraction(c))), (f.derivative("z1"), ff.derivative("z1")),
+             (f.subs_rational(images), ff.subs_rational(images))]
+    for with_ints, with_fractions in pairs:
+        assert with_ints == with_fractions
+        assert with_ints.text() == with_fractions.text()
+    assert f.evaluate(at) == ff.evaluate(at)
+    assert_element(QQ, f.evaluate(at))

@@ -1,6 +1,7 @@
 """Start-up contract: a CLI call imports only the pairkit modules its verb
-runs, `json` only for `--json`, and the package resolves its exported names
-on first access, so `import pairkit` loads no submodule."""
+runs, `json` only for `--json`, `fractions` (with `decimal`) only where a
+rational is not an integer, and the package resolves its exported names on
+first access, so `import pairkit` loads no submodule."""
 
 import importlib
 import re
@@ -52,9 +53,9 @@ VERBS = [
 ]
 
 
-def loaded(tmp_path, argv):
-    """(exit code, the pairkit modules and whether json was loaded) of one
-    call in a fresh interpreter."""
+def loaded_names(tmp_path, argv):
+    """(exit code, every module name in sys.modules at exit) of one call in
+    a fresh interpreter."""
     points = tmp_path / "points.txt"
     points.write_text("1\n2\n", encoding="utf-8")
     out = tmp_path / "modules.txt"
@@ -63,9 +64,16 @@ def loaded(tmp_path, argv):
                           capture_output=True, text=True, timeout=60, env=child_env())
     assert "Traceback" not in proc.stderr, proc.stderr
     names = out.read_text(encoding="utf-8").split()
-    ours = {name.removeprefix("pairkit.") for name in names if name.startswith("pairkit.")}
     assert "pairkit" in names
-    return proc.returncode, ours, "json" in names
+    return proc.returncode, set(names)
+
+
+def loaded(tmp_path, argv):
+    """(exit code, the pairkit modules and whether json was loaded) of one
+    call in a fresh interpreter."""
+    code, names = loaded_names(tmp_path, argv)
+    ours = {name.removeprefix("pairkit.") for name in names if name.startswith("pairkit.")}
+    return code, ours, "json" in names
 
 
 @pytest.mark.parametrize("argv,code,modules", VERBS,
@@ -73,6 +81,19 @@ def loaded(tmp_path, argv):
                               for argv, code, _ in VERBS])
 def test_a_verb_loads_only_its_modules(tmp_path, argv, code, modules):
     assert loaded(tmp_path, argv) == (code, modules, False)
+
+
+# calls whose coefficients are all integers: a Q group law, and the F_p calls
+INTEGRAL = [["mukai", "9", "3"], ["check-group", prob("heisenberg.prob")],
+            ["check-endo", prob("e2.prob")], ["check-pair", prob("e2.prob"), "--pair", "1"],
+            ["fppf", prob("e2.prob"), "--pair", "1"], ["factor", prob("e2.prob")]]
+
+
+@pytest.mark.parametrize("argv", INTEGRAL, ids=[argv[0] for argv in INTEGRAL])
+def test_integral_calls_load_no_fractions(tmp_path, argv):
+    code, names = loaded_names(tmp_path, argv)
+    assert code == 0
+    assert names & {"fractions", "decimal"} == set()
 
 
 def test_json_is_loaded_for_json_reports_only(tmp_path):

@@ -12,6 +12,7 @@ elimination, a pair's verdicts are set by `check_alpha_pair` alone, a
 graph ideal is eliminated only on the routes the Jacobian certificate falls
 back to, the relation ideal travels with the action alone,
 `cli.py` and the package import no algebra module when they are loaded,
+only `fields.py` imports `fractions` or divides coefficients with `/`,
 a principle pair without relations is checked without Buchberger, every
 function in `src/` has a caller there or is exported, and fractions are
 cross-multiplied only in `poly.py` and `CoAction.residue`."""
@@ -245,8 +246,8 @@ def per_term_field_calls(path):
 
 def test_polynomial_arithmetic_makes_no_per_term_field_calls():
     """Polynomial sums and products reduce mod p once per result, in
-    `_reduced`, and `linalg.echelon` once per new row; zero, one and inv
-    stay field calls."""
+    `_reduced`, and `linalg.echelon` once per new row; inv stays a field
+    call."""
     for module in ("poly.py", "linalg.py"):
         assert per_term_field_calls(ROOT / "src" / "pairkit" / module) == []
 
@@ -536,6 +537,66 @@ def test_cross_multiplication_check_sees_every_form(tmp_path):
         "def kernel(a, b):\n    return a.num * b.den\n", encoding="utf-8")
     assert cross_multipliers(tmp_path) == ["mod.py:cross", "mod.py:swapped",
                                            "mod.py:C.method.inner"]
+
+
+def fraction_importers(src_dir):
+    """The modules, by file name, that import `fractions`."""
+    return [path.name for path in sorted(src_dir.glob("*.py"))
+            if "fractions" in imported_modules(path)]
+
+
+def test_only_fields_knows_about_fractions():
+    """A coefficient is an int unless a field division leaves a non-integral
+    rational, and `FieldSpec.div` is where that happens."""
+    assert fraction_importers(ROOT / "src" / "pairkit") == ["fields.py"]
+
+
+def test_fraction_import_check_sees_every_form(tmp_path):
+    (tmp_path / "top.py").write_text("from fractions import Fraction\n", encoding="utf-8")
+    (tmp_path / "inner.py").write_text("def f():\n    import fractions\n", encoding="utf-8")
+    (tmp_path / "named.py").write_text("x = 'fractions'\nimport math\n", encoding="utf-8")
+    assert fraction_importers(tmp_path) == ["inner.py", "top.py"]
+
+
+# the true divisions outside fields.py: rational functions and probe parsing
+DIVISIONS = ["poly.py:RationalFunction.__pow__", "poly.py:RationalFunction.inverse",
+             "poly.py:RationalFunction.subs_rational", "problem.py:_Context.div"]
+
+
+def true_divisions(src_dir):
+    """The functions, as "module:qualified name", outside `fields.py` that
+    use `/` or `/=`."""
+    found = []
+
+    def visit(node, name, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, scope)
+
+    for path in sorted(src_dir.glob("*.py")):
+        if path.name != "fields.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, [])
+    return list(dict.fromkeys(found))
+
+
+def test_coefficients_are_divided_only_in_fields():
+    """Any other `/` on two ints would make a float, and on a coefficient
+    would bypass `FieldSpec.div`."""
+    assert true_divisions(ROOT / "src" / "pairkit") == DIVISIONS
+
+
+def test_division_check_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def half(a):\n    return a / 2\n"
+        "class C:\n    def method(self, a):\n        a /= 3\n        return a\n"
+        "def floor(a):\n    return a // 2\n"
+        "scale = 1 / 4\n", encoding="utf-8")
+    (tmp_path / "fields.py").write_text(
+        "def div(a, b):\n    return a / b\n", encoding="utf-8")
+    assert true_divisions(tmp_path) == ["mod.py:half", "mod.py:C.method", "mod.py:"]
 
 
 # the modules the CLI and the package may import when they are loaded
