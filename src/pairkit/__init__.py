@@ -9,7 +9,7 @@ only what X needs, and a CLI call only the modules its verb runs.
 # defining module -> the names exported from it
 _EXPORTS = {
     "actions": ("CoAction", "GmCoAction", "gm_weight_components", "is_semi_invariant",
-                "validate_action", "validate_gm_action"),
+                "validate_action"),
     "cli": ("mukai_predicate",),
     "errors": ("AlgebraError", "InternalCheckError", "PairkitError", "ParseError",
                "UnsupportedMethodError", "ValidationError"),

@@ -1,13 +1,13 @@
 """Co-actions of unipotent groups and of the multiplicative torus.
 
-Each co-action owns the coordinate ring A = k[Z]/I it acts on: the ring
-k[Z] and the generators of the relation ideal I, and `CoAction.residue` is
-the one place equality in A is decided.  A unipotent co-action stores one
-polynomial v_i(Z, Y) per space variable, in the combined ring k[Z, coords].
-A torus co-action stores one Laurent polynomial per space variable, as the
-rational function F / w^k of k[Z, w] (w last, F not divisible by w unless
-k = 0), so it runs on the same substitution kernel and the same identity
-checks; `laurent_components` reads off its weights.
+Both kinds share one base: the coordinate ring A = k[Z]/I they act on (k[Z]
+and the generators of the relation ideal I), one image per space variable in
+k[Z, coords], `pushforward`, and `BaseCoAction.residue`, the one place
+equality in A is decided.  A unipotent co-action stores polynomials
+v_i(Z, Y).  A torus co-action stores Laurent polynomials as the fractions
+F / w^k of k[Z, w] (w last, F not divisible by w unless k = 0), so both run
+on one substitution kernel and one axiom check; `laurent_components` reads
+off the torus weights.
 """
 
 from .errors import AlgebraError, ValidationError
@@ -16,48 +16,42 @@ from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .report import Report
 
 
-class CoAction:
-    __slots__ = ("law", "ring", "big_ring", "v", "relations", "_basis")
+class BaseCoAction:
+    """A co-action on A = k[Z]/I.  A subclass sets `title` and defines how it
+    checks and substitutes its images, and its group's identity, product and
+    `fresh_points`, the coordinate names of two generic points."""
 
-    def __init__(self, law: GroupLaw, ring: PolyRing, v, relations):
-        if set(ring.names) & set(law.coords):
-            raise ValidationError("group coordinate names collide with ring variables")
-        if ring.field != law.field:
-            raise ValidationError("action ring and group law use different fields")
+    __slots__ = ("ring", "coords", "big_ring", "v", "relations", "_basis")
+
+    def __init__(self, ring: PolyRing, coords, v, relations):
         v = list(v)
         if len(v) != ring.nvars:
-            raise ValidationError("co-action needs one polynomial per ring variable")
-        self.law = law
+            raise ValidationError("co-action needs one image per ring variable")
         self.ring = ring
-        self.big_ring = PolyRing(ring.names + law.coords, ring.field)
-        self.v = [p.cast(self.big_ring) for p in v]
+        self.coords = tuple(coords)
+        self.big_ring = ring.extend(self.coords)
+        self.v = [self._checked(name, f) for name, f in zip(ring.names, v)]
         self.relations = [r.cast(ring) for r in relations]
         self._basis = None
 
-    def v_for(self, name: str) -> Polynomial:
+    def v_for(self, name: str):
         return self.v[self.ring.index(name)]
 
     def apply(self, z, y):
-        """v(z, y): the co-action polynomials with the space variables
-        replaced by the tuple z and the group coordinates by the tuple y."""
+        """v(z, y): the images with the space variables replaced by the tuple
+        z and the group coordinates by the tuple y."""
         images = dict(zip(self.ring.names, z))
-        images.update(zip(self.law.coords, y))
-        return [p.subs_poly(images) for p in self.v]
-
-    def is_trivial(self) -> bool:
-        return all(v == self.big_ring.var(n) for v, n in zip(self.v, self.ring.names))
+        images.update(zip(self.coords, y))
+        return [self._substituted(p, images) for p in self.v]
 
     def pushforward(self, f) -> RationalFunction:
-        """Apply the co-action to a polynomial or rational function in k[Z]."""
+        """f(v(Z, Y)), a fraction of k[Z, coords], for a polynomial or
+        rational function f of k[Z]."""
         if isinstance(f, Polynomial):
             f = RationalFunction.from_poly(f)
         if f.ring != self.ring:
             raise AlgebraError("function lives in a different ring than the action")
-        images = dict(zip(self.ring.names, self.v))
-        den = f.den.subs_poly(images)
-        if den.is_zero():
-            raise AlgebraError(f"denominator {f.den.text()} maps to zero under the action")
-        return RationalFunction(f.num.subs_poly(images), den)
+        return self._substituted(f, dict(zip(self.ring.names, self.v)))
 
     def residue(self, lhs: RationalFunction, rhs) -> Polynomial:
         """The cross-multiplied numerator of lhs - rhs in normal form modulo I,
@@ -65,12 +59,12 @@ class CoAction:
         into lhs's ring.  The reduced grevlex basis of I is built in k[Z] once,
         at the first nonzero numerator, and cast into the numerator's ring:
         grevlex there restricts to grevlex on k[Z], so the leads stay leads."""
-        from .gbasis import GroebnerBasis, Ideal, groebner, normal_form
         ring = lhs.ring
         rhs = RationalFunction.one(ring) * rhs.cast(ring)     # rhs may be a polynomial
         diff = lhs.num * rhs.den - rhs.num * lhs.den
         if diff.is_zero() or not self.relations:
             return diff
+        from .gbasis import GroebnerBasis, Ideal, groebner, normal_form
         self._basis = self._basis or groebner(Ideal(self.ring, self.relations))
         basis = GroebnerBasis(ring, self._basis.order, [p.cast(ring) for p in self._basis])
         return normal_form(diff, basis)
@@ -78,6 +72,48 @@ class CoAction:
     def is_invariant(self, f) -> bool:
         """Whether v(f) = f in A[Y], that is modulo I."""
         return not self.residue(self.pushforward(f), f)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(self.coords)} on {self.ring!r})"
+
+
+class CoAction(BaseCoAction):
+    """Unipotent co-action: one polynomial v_i(Z, Y) of k[Z, coords] per
+    ring variable, for the group law `law`."""
+
+    __slots__ = ("law",)
+    title = "action"
+
+    def __init__(self, law: GroupLaw, ring: PolyRing, v, relations):
+        if set(ring.names) & set(law.coords):
+            raise ValidationError("group coordinate names collide with ring variables")
+        if ring.field != law.field:
+            raise ValidationError("action ring and group law use different fields")
+        self.law = law
+        super().__init__(ring, law.coords, v, relations)
+
+    def _checked(self, name, f):
+        return f.cast(self.big_ring)
+
+    @staticmethod
+    def _substituted(p, images):
+        """p at polynomial images by `subs_poly`; a fraction stays one."""
+        if isinstance(p, Polynomial):
+            return p.subs_poly(images)
+        return RationalFunction(p.num.subs_poly(images), p.den.subs_poly(images))
+
+    def identity(self, ring):
+        return [ring.zero()] * self.law.s
+
+    def multiply(self, u, v):
+        return self.law.multiply_tuples(u, v)
+
+    def fresh_points(self, avoid):
+        first = fresh_names("a", self.law.s, avoid)
+        return first, fresh_names("b", self.law.s, avoid | set(first))
+
+    def is_trivial(self) -> bool:
+        return all(v == self.big_ring.var(n) for v, n in zip(self.v, self.ring.names))
 
     def stabilizer_ideal(self, point) -> "Ideal":
         """<v_i(x, Y) - x_i> in k[coords]; the reduced basis equals the list
@@ -90,28 +126,62 @@ class CoAction:
         x = [target.const(c) for c in point]
         return Ideal(target, [vi - xi for vi, xi in zip(self.apply(x, target.gens()), x)])
 
-    def __repr__(self):
-        return f"CoAction({self.law!r} on {self.ring!r})"
+
+class GmCoAction(BaseCoAction):
+    """Torus co-action: one Laurent polynomial F / w^k of k[Z, w] per ring
+    variable, w last; G_m has the identity 1 and the product w1*w2."""
+
+    __slots__ = ()
+    title = "gm-action"
+
+    def __init__(self, ring: PolyRing, v, relations):
+        super().__init__(ring, ["w"], v, relations)
+
+    def _checked(self, name, f):
+        if f.ring != self.big_ring:
+            raise ValidationError(f"image of {name} lies in {f.ring!r}, not in {self.big_ring!r}")
+        (exps, c), *rest = f.den.terms.items()
+        if rest or c != 1 or any(exps[:-1]):
+            raise ValidationError(f"image of {name} is not a Laurent polynomial: its "
+                                  f"denominator {f.den.text()} is not a power of w")
+        return f
+
+    @staticmethod
+    def _substituted(p, images):
+        return p.subs_rational(images)
+
+    def identity(self, ring):
+        return [ring.one()]
+
+    def multiply(self, u, v):
+        return [u[0] * v[0]]
+
+    def fresh_points(self, avoid):
+        w1, w2 = fresh_names("w", 2, avoid)
+        return [w1], [w2]
 
 
-def validate_action(action: CoAction) -> Report:
-    """Unit axiom and exact left-action compatibility
-    v_i(v(Z, B), A) = v_i(Z, m(A, B))."""
-    report = Report("action")
+def validate_action(action: BaseCoAction) -> Report:
+    """The unit axiom v(Z, e) = Z and exact compatibility v(v(Z, B), A) =
+    v(Z, m(A, B)), each one identity of tuples, and, when I != 0, that v maps
+    I into I[Y]: v(r) = r in A[Y] for each generator r, the witness the first
+    nonzero residue."""
+    report = Report(action.title)
     ring = action.ring
-    law = action.law
-    report.check_equal("unit-axiom", action.apply(ring.gens(), [ring.zero()] * law.s),
+    report.check_equal("unit-axiom", action.apply(ring.gens(), action.identity(ring)),
                        ring.gens(), ring.names)
 
-    avoid = set(ring.names) | set(law.coords)
-    first_names = fresh_names("a", law.s, avoid)
-    second_names = fresh_names("b", law.s, avoid | set(first_names))
-    ext = ring.extend(first_names + second_names)
-    gens = ext.gens()
-    Z, A, B = gens[:ring.nvars], gens[ring.nvars:-law.s], gens[-law.s:]
+    first, second = action.fresh_points(set(ring.names) | set(action.coords))
+    ext = ring.extend(first + second)
+    Z, A, B = ([ext.var(n) for n in names] for names in (ring.names, first, second))
     report.check_equal("compatibility", action.apply(action.apply(Z, B), A),
-                       action.apply(Z, law.multiply_tuples(A, B)), ring.names)
-    report.info("fully-trivial", "true" if action.is_trivial() else "false")
+                       action.apply(Z, action.multiply(A, B)), ring.names)
+    if action.relations:
+        residues = (action.residue(action.pushforward(r), r) for r in action.relations)
+        witness = next((d.text() for d in residues if not d.is_zero()), None)
+        report.check("ideal-preserved", witness is None, witness)
+    if isinstance(action, CoAction):
+        report.info("fully-trivial", "true" if action.is_trivial() else "false")
     return report
 
 
@@ -147,91 +217,35 @@ def laurent_text(f: RationalFunction, ring: PolyRing) -> str:
     return " + ".join(parts) or "0"
 
 
-class GmCoAction:
-    """Torus co-action: one Laurent polynomial F / w^k of k[Z, w] per ring
-    variable, w the ring's last variable."""
-
-    __slots__ = ("ring", "v", "relations")
-
-    def __init__(self, ring: PolyRing, v, relations):
-        v = list(v)
-        if len(v) != ring.nvars:
-            raise ValidationError("co-action needs one Laurent polynomial per ring variable")
-        ext = ring.extend(["w"])
-        for name, f in zip(ring.names, v):
-            if f.ring != ext:
-                raise ValidationError(f"image of {name} lies in {f.ring!r}, not in {ext!r}")
-            (exps, c), *rest = f.den.terms.items()
-            if rest or c != 1 or any(exps[:-1]):
-                raise ValidationError(f"image of {name} is not a Laurent polynomial: its "
-                                      f"denominator {f.den.text()} is not a power of w")
-        self.ring = ring
-        self.v = v
-        self.relations = [r.cast(ring) for r in relations]
-
-    def v_for(self, name: str) -> RationalFunction:
-        return self.v[self.ring.index(name)]
-
-    def apply(self, z, w):
-        """v(z, w): the co-action fractions with the space variables replaced
-        by the tuple z and the weight variable by w."""
-        images = dict(zip(self.ring.names, z), w=w)
-        return [p.subs_rational(images) for p in self.v]
-
-    def pushforward_poly(self, f: Polynomial) -> RationalFunction:
-        """f(v(Z, w)), the Laurent polynomial F / w^k of k[Z, w]."""
-        if f.ring != self.ring:
-            raise AlgebraError("polynomial lives in a different ring than the action")
-        return f.subs_rational(dict(zip(self.ring.names, self.v)))
-
-    def __repr__(self):
-        return f"GmCoAction on {self.ring!r}"
-
-
-def validate_gm_action(action: GmCoAction) -> Report:
-    """Unit axiom v(Z, 1) = Z and torus compatibility
-    v(v(Z, w2), w1) = v(Z, w1*w2), each one identity of fractions."""
-    report = Report("gm-action")
-    ring = action.ring
-    report.check_equal("unit-axiom", action.apply(ring.gens(), ring.one()), ring.gens(),
-                       ring.names)
-
-    ext = ring.extend(fresh_names("w", 2, ring.names))
-    *Z, w1, w2 = ext.gens()
-    report.check_equal("compatibility", action.apply(action.apply(Z, w2), w1),
-                       action.apply(Z, w1 * w2), ring.names)
-    return report
-
-
 def gm_weight_components(action: GmCoAction, f) -> dict:
     """Weight decomposition of f.
 
     Polynomials always decompose; a rational function decomposes only when
     its denominator is itself a semi-invariant (single weight)."""
     if isinstance(f, Polynomial):
-        return laurent_components(action.pushforward_poly(f), action.ring)
+        return laurent_components(action.pushforward(f), action.ring)
     if not isinstance(f, RationalFunction):
         raise ValidationError("expected a polynomial or rational function")
-    den_comps = laurent_components(action.pushforward_poly(f.den), action.ring)
+    den_comps = laurent_components(action.pushforward(f.den), action.ring)
     if len(den_comps) != 1:
         raise AlgebraError("denominator is not a semi-invariant; "
                            "no weight decomposition exists")
     (dw,) = den_comps
-    num_comps = laurent_components(action.pushforward_poly(f.num), action.ring)
+    num_comps = laurent_components(action.pushforward(f.num), action.ring)
     return {q - dw: RationalFunction(p, f.den) for q, p in num_comps.items()}
 
 
 def is_semi_invariant(action: GmCoAction, g: Polynomial, h: Polynomial,
                       e: int, q: int) -> bool:
     """Whether g/h^e scales exactly by w^q under the torus action, that is
-    pushforward(g)*h^e = g*pushforward(h)^e*w^q as fractions of k[Z, w];
-    both e-th powers are taken by squaring, so h^e is never pushed
-    forward."""
+    pushforward(g)*h^e = g*pushforward(h)^e*w^q in A[w, 1/w], decided by
+    `residue` modulo I; both e-th powers are taken by squaring, so h^e is
+    never pushed forward."""
     if h.is_zero():
         raise ValidationError("h must be nonzero")
     if e < 0:
         raise ValidationError("e must be non-negative")
-    ext = action.ring.extend(["w"])
+    ext = action.big_ring
     w = RationalFunction.from_poly(ext.var("w"))
-    return action.pushforward_poly(g) * h.cast(ext) ** e == \
-        action.pushforward_poly(h) ** e * g.cast(ext) * w ** q
+    return not action.residue(action.pushforward(g) * h.cast(ext) ** e,
+                              action.pushforward(h) ** e * g.cast(ext) * w ** q)

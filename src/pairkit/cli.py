@@ -131,11 +131,11 @@ def cmd_check_endo(args) -> Report:
 
 
 def cmd_check_action(args) -> Report:
-    from .actions import validate_action, validate_gm_action
+    from .actions import validate_action
     from .groups import validate_group_law
     problem = _load(args.file)
     if problem.is_gm:
-        return validate_gm_action(problem.action)
+        return validate_action(problem.action)
     report = validate_group_law(problem.group)
     report.merge(validate_action(problem.action), prefix="action-")
     return report
@@ -258,13 +258,11 @@ def cmd_stable(args) -> Report:
 
 
 def cmd_semi_invariant(args) -> Report:
-    from .actions import is_semi_invariant, validate_gm_action
+    from .actions import is_semi_invariant, validate_action
     from .problem import bounded, check_constant_bits, check_power_terms, parse_polynomial
     problem = _load(args.file)
     if not problem.is_gm:
         raise ValidationError("semi-invariant requires a gmact problem")
-    if args.e < 0:
-        raise ValidationError("e must be non-negative")
     with _option("--g"):
         g = bounded(parse_polynomial(args.g, problem.ring), 1)
     with _option("--h"):
@@ -274,8 +272,7 @@ def cmd_semi_invariant(args) -> Report:
         if problem.field.p is None:
             check_constant_bits([h], args.e)
     report = Report("semi-invariant")
-    gm_report = validate_gm_action(problem.action)
-    report.merge(gm_report, prefix="action-")
+    report.merge(validate_action(problem.action), prefix="action-")
     if report.passed:
         report.info("function", f"({g.text()})/({h.text()})^{args.e}")
         report.info("weight", args.q)

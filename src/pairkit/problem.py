@@ -347,11 +347,11 @@ def parse_problem(text: str) -> ProblemFile:
     ring = None
     relations = []
     group_coords = None
+    kind = None         # act or gmact, the keyword of the image lines
     mult = {}
     inv = {}
     endo = {}
-    act = {}
-    gmact = {}
+    images = {}
     pair_g = {}
     pair_h = {}
     points = []
@@ -430,6 +430,10 @@ def parse_problem(text: str) -> ProblemFile:
             require(not set(coords) & set(ring.names),
                     "group coordinate names must be disjoint from ring variables", lineno)
             group_coords = coords
+            a_names, b_names = mult_var_names(s)
+            role_rings = {"mult": PolyRing(a_names + b_names, field),
+                          "act": ring.extend(coords)}
+            role_rings["inv"] = role_rings["endo"] = PolyRing(coords, field)
         elif keyword in ("mult", "inv", "endo"):
             require(group_coords is not None, f"{keyword} before group", lineno)
             require(expr_text is not None and len(head_words) == 2,
@@ -438,37 +442,26 @@ def parse_problem(text: str) -> ProblemFile:
             require(coord in group_coords, f"unknown group coordinate {coord!r}", lineno)
             target = {"mult": mult, "inv": inv, "endo": endo}[keyword]
             require(coord not in target, f"duplicate {keyword} line for {coord!r}", lineno)
-            s = len(group_coords)
-            if keyword == "mult":
-                a_names, b_names = mult_var_names(s)
-                expr_ring = PolyRing(a_names + b_names, field)
-            else:
-                expr_ring = PolyRing(group_coords, field)
-            target[coord] = bounded(parse_polynomial(expr_text, expr_ring, lineno,
-                                                     expr_col), lineno)
-        elif keyword == "act":
-            require(ring is not None, "act before ring", lineno)
-            require(group_coords is not None, "act before group", lineno)
-            require(not gmact, "cannot mix act and gmact", lineno)
-            require(expr_text is not None and len(head_words) == 2,
-                    "usage: act <var> = <poly>", lineno)
+            target[coord] = bounded(parse_polynomial(expr_text, role_rings[keyword],
+                                                     lineno, expr_col), lineno)
+        elif keyword in ("act", "gmact"):
+            unipotent = keyword == "act"
+            require(ring is not None, f"{keyword} before ring", lineno)
+            require(not unipotent or group_coords is not None, "act before group", lineno)
+            require(kind in (None, keyword), "cannot mix act and gmact", lineno)
+            require(expr_text is not None and len(head_words) == 2, f"usage: {keyword} "
+                    f"<var> = <{'poly' if unipotent else 'Laurent poly in w'}>", lineno)
             name = head_words[1]
             require(name in ring.names, f"unknown ring variable {name!r}", lineno)
-            require(name not in act, f"duplicate act line for {name!r}", lineno)
-            big = PolyRing(ring.names + tuple(group_coords), field)
-            act[name] = bounded(parse_polynomial(expr_text, big, lineno, expr_col), lineno)
-        elif keyword == "gmact":
-            require(ring is not None, "gmact before ring", lineno)
-            require(not act, "cannot mix act and gmact", lineno)
-            require(expr_text is not None and len(head_words) == 2,
-                    "usage: gmact <var> = <Laurent poly in w>", lineno)
-            name = head_words[1]
-            require(name in ring.names, f"unknown ring variable {name!r}", lineno)
-            require(name not in gmact, f"duplicate gmact line for {name!r}", lineno)
-            require("w" not in ring.names,
+            require(name not in images, f"duplicate {keyword} line for {name!r}", lineno)
+            require(unipotent or "w" not in ring.names,
                     "ring variable 'w' collides with the weight variable", lineno)
-            laurent = _Context(ring.extend(["w"]), RationalFunction.from_poly, laurent=ring)
-            gmact[name] = bounded(_parse(expr_text, lineno, expr_col, laurent), lineno, ring)
+            if kind is None:
+                kind = keyword
+                image_context = _Context(role_rings["act"], lambda p: p) if unipotent else \
+                    _Context(ring.extend(["w"]), RationalFunction.from_poly, laurent=ring)
+            images[name] = bounded(_parse(expr_text, lineno, expr_col, image_context),
+                                   lineno, image_context.laurent)
         elif keyword == "pair":
             require(ring is not None, "pair before ring", lineno)
             require(expr_text is None, "pair lines do not use '='", lineno)
@@ -487,6 +480,10 @@ def parse_problem(text: str) -> ProblemFile:
             values = [parse_point_value(w, field, lineno) for w in head_words[1:]]
             require(len(values) == ring.nvars,
                     f"point needs {ring.nvars} coordinates", lineno)
+            for rel in relations:
+                if rel.evaluate(dict(zip(ring.names, values))):
+                    raise ParseError(f"point ({', '.join(map(str, values))}) is off V(I): "
+                                     f"relation {rel.text()} does not vanish there", lineno)
             points.append(tuple(values))
 
     eof = last_line or 1
@@ -494,7 +491,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError("missing field section", eof)
     if ring is None:
         raise ParseError("missing ring section", eof)
-    if not act and not gmact:
+    if kind is None:
         raise ParseError("missing action section (act or gmact lines)", eof)
 
     group = None
@@ -510,27 +507,19 @@ def parse_problem(text: str) -> ProblemFile:
 
     endo_map = None
     if endo:
-        if group is None:
-            raise ParseError("endo section requires a group section", eof)
         for coord in group_coords:
             if coord not in endo:
                 raise ParseError(f"missing endo line for {coord!r}", eof)
         endo_map = Endomorphism(group, [endo[c] for c in group_coords])
 
-    if act:
-        if group is None:
-            raise ParseError("act lines require a group section", eof)
-        for name in ring.names:
-            if name not in act:
-                raise ParseError(f"missing act line for {name!r}", eof)
-        action = CoAction(group, ring, [act[n] for n in ring.names], relations)
-    else:
-        for name in ring.names:
-            if name not in gmact:
-                raise ParseError(f"missing gmact line for {name!r}", eof)
-        if endo_map is not None or pair_g or pair_h:
-            raise ParseError("pair/endo sections require a unipotent (act) problem", eof)
-        action = GmCoAction(ring, [gmact[n] for n in ring.names], relations)
+    for name in ring.names:
+        if name not in images:
+            raise ParseError(f"missing {kind} line for {name!r}", eof)
+    if kind == "gmact" and (endo_map is not None or pair_g or pair_h):
+        raise ParseError("pair/endo sections require a unipotent (act) problem", eof)
+    v = [images[n] for n in ring.names]
+    action = CoAction(group, ring, v, relations) if kind == "act" else \
+        GmCoAction(ring, v, relations)
 
     pairs = {}
     for idx in sorted(set(pair_g) | set(pair_h)):
@@ -581,13 +570,10 @@ def render_problem(problem: ProblemFile) -> str:
     if problem.endo is not None:
         for coord, p in zip(problem.group.coords, problem.endo.phi):
             lines.append(f"endo {coord} = {p.text()}")
-    if problem.is_gm:
-        for name in problem.ring.names:
-            text = laurent_text(problem.action.v_for(name), problem.ring)
-            lines.append(f"gmact {name} = {text}")
-    else:
-        for name in problem.ring.names:
-            lines.append(f"act {name} = {problem.action.v_for(name).text()}")
+    keyword = "gmact" if problem.is_gm else "act"
+    for name, image in zip(problem.ring.names, problem.action.v):
+        text = laurent_text(image, problem.ring) if problem.is_gm else image.text()
+        lines.append(f"{keyword} {name} = {text}")
     for idx in sorted(problem.pairs):
         g, h = problem.pairs[idx]
         for p in g:

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from pairkit.actions import (CoAction, GmCoAction, gm_weight_components,
-                             is_semi_invariant, laurent_components,
-                             validate_action, validate_gm_action)
+from pairkit.actions import (BaseCoAction, CoAction, GmCoAction, gm_weight_components,
+                             is_semi_invariant, laurent_components, validate_action)
 from pairkit.errors import AlgebraError, ParseError, ValidationError
 from pairkit.fields import QQ, FieldSpec
 from pairkit.gbasis import Ideal, buchberger, groebner
 from pairkit.poly import PolyRing, RationalFunction
 from pairkit.problem import parse_polynomial, parse_problem
 
+from conftest import load
 from oracles import in_ideal_bruteforce, random_polynomial
 from test_groups import vector_law
 
@@ -43,6 +43,31 @@ class TestValidateAction:
         action = CoAction(law, ring, [big.var("z1")], [])
         report = validate_action(action)
         assert report.passed and report.get("fully-trivial") == "true"
+
+    QUOTIENT = ("field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n"
+                "mult t = a1 + b1\ninv t = -t\nact z1 = z1\n")
+
+    def test_action_must_preserve_the_relations(self):
+        """z2 -> z2 + t*z1 acts on Q[z1, z2], but not on Q[z1, z2]/<z2>:
+        v(z2) - z2 = t*z1 is not 0 in A[t].  The unit axiom and
+        compatibility still pass."""
+        report = validate_action(parse_problem(self.QUOTIENT + "act z2 = z2 + t*z1\n").action)
+        assert report.failures == ["ideal-preserved"]
+        assert report.get("ideal-preserved-witness") == "z1*t"
+
+    def test_relations_moved_inside_the_ideal_pass(self):
+        """z1 -> z1 + t*z2 moves the relation z1 to z1 + t*z2, which lies in
+        <z1, z2>: the origin is a fixed point."""
+        action = parse_problem("field Q\nring z1 z2\nrelation z1\nrelation z2\n"
+                               "group dim 1 coords t\nmult t = a1 + b1\ninv t = -t\n"
+                               "act z1 = z1 + t*z2\nact z2 = z2\n").action
+        report = validate_action(action)
+        assert report.passed and report.get("ideal-preserved") == "pass"
+        assert action._basis is not None
+
+    def test_free_ring_reports_no_ideal_key(self, e1, gm_diag):
+        for action in (e1.action, gm_diag.action):
+            assert "ideal-preserved" not in dict(validate_action(action).entries)
 
     def test_name_collision_rejected(self):
         law = vector_law(1, QQ)
@@ -205,9 +230,43 @@ class TestLaurentPower:
         assert list(laurent_components(laurent("w^-1000000000"), ring)) == [-10**9]
 
 
+def test_one_base_serves_both_kinds():
+    """Both co-actions inherit A = k[Z]/I, its pushforward, its residue and
+    its invariance test from one base."""
+    for name in ("v_for", "apply", "pushforward", "residue", "is_invariant"):
+        assert getattr(CoAction, name) is getattr(GmCoAction, name) \
+            is getattr(BaseCoAction, name)
+
+
 class TestGmAction:
     def test_validate(self, gm_diag):
-        assert validate_gm_action(gm_diag.action).passed
+        report = validate_action(gm_diag.action)
+        assert report.passed and report.title == "gm-action"
+
+    def test_weight_zero_fraction_is_invariant(self, gm_diag):
+        x, y = gm_diag.ring.gens()
+        assert gm_diag.action.is_invariant(RationalFunction(x, y))
+        assert not gm_diag.action.is_invariant(x)
+
+    def test_action_must_preserve_the_relations(self):
+        """x and y have the weights 1 and 2, so v(x - y) = w*x - w^2*y, which
+        is (w - w^2)*y modulo <x - y>."""
+        action = parse_problem("field Q\nring x y\nrelation x - y\n"
+                               "gmact x = w*x\ngmact y = w^2*y\n").action
+        report = validate_action(action)
+        assert report.failures == ["ideal-preserved"]
+        assert report.get("ideal-preserved-witness") == "-y*w^2 + y*w"
+
+    def test_semi_invariant_modulo_the_relations(self):
+        """In A = Q[x, y]/<x^2 - y>, x^2 - y + x is x, of weight 1, though its
+        image in Q[x, y] has a weight-2 part."""
+        action = load("gm_quotient.prob").action
+        x, y = action.ring.gens()
+        g, one = x * x - y + x, action.ring.one()
+        assert validate_action(action).passed
+        assert is_semi_invariant(action, g, one, 1, 1)
+        assert not is_semi_invariant(action, g, one, 1, 2)
+        assert is_semi_invariant(action, x * x, y, 1, 0)
 
     @pytest.mark.parametrize("num, den", [("x", "x + w"), ("y", "x")])
     def test_image_must_be_a_laurent_polynomial(self, num, den):
@@ -232,7 +291,7 @@ class TestGmAction:
         ring = PolyRing(["x"], QQ)
         x, w = ring.extend(["w"]).gens()
         bad = GmCoAction(ring, [RationalFunction.from_poly(w * x + x)], [])
-        report = validate_gm_action(bad)
+        report = validate_action(bad)
         assert "unit-axiom" in report.failures
 
     def test_weight_one_for_coordinate(self, gm_diag):

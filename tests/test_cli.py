@@ -450,6 +450,22 @@ class TestVerifyOnce:
         assert sum(action.ring.names == own for action in actions) == 1
 
 
+class TestTorusRelations:
+    def test_check_action_refuses_a_moved_relation(self, tmp_path, capsys):
+        problem = tmp_path / "moved.prob"
+        problem.write_text("field Q\nring x y\nrelation x - y\ngmact x = w*x\n"
+                           "gmact y = w^2*y\n", encoding="utf-8")
+        code, out = invoke(capsys, "check-action", str(problem))
+        assert code == 1
+        assert "ideal-preserved: FAIL\nideal-preserved-witness: -y*w^2 + y*w\n" in out
+
+    def test_semi_invariant_holds_modulo_the_relation(self, capsys):
+        """x^2 - y + x is x in Q[x, y]/<x^2 - y>, of weight 1."""
+        code, out = invoke(capsys, "semi-invariant", path("gm_quotient.prob"),
+                           "--g", "x^2 - y + x", "--h", "1", "--e", "1", "--q", "1")
+        assert code == 0 and "semi-invariant: pass" in out
+
+
 class TestRelationLines:
     """Verbs judge a pair in the quotient ring that the problem's `relation`
     lines define: for z1/(1 + z2) under z1 -> z1 + t the identity's
@@ -526,14 +542,51 @@ class TestRelationLines:
         code, out = invoke(capsys, "pedestal", problem, "--which", "all")
         assert code == 1 and "pair1-verified: FAIL" in out
 
-    UNIPOTENT3 = ("field Q\nring z1 z2 z3\nrelation z2*z3\ngroup dim 2 coords t1 t2\n"
+    @pytest.mark.parametrize("text, witness", [
+        ("field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\nmult t = a1 + b1\n"
+         "inv t = -t\nact z1 = z1\nact z2 = z2 + t*z1\npair 1 g z1\npair 1 h 1\n"
+         "point 1 0\n", "z1*t"),
+        ("field Q\nring z1 z2 z3\nrelation z2*z3\ngroup dim 2 coords t1 t2\n"
+         "mult t1 = a1 + b1\nmult t2 = a2 + b2\ninv t1 = -t1\ninv t2 = -t2\n"
+         "act z1 = z1 + t1\nact z2 = z2\nact z3 = z3 + t2\npair 1 g z1\npair 1 h 1\n"
+         "pair 1 g z3\npair 1 h 1\npoint 0 0 0\n", "z2*t2"),
+    ], ids=["z2-moved", "z2*z3-moved"])
+    def test_action_must_preserve_the_relations(self, tmp_path, capsys, text, witness):
+        """Each action acts on the free ring but moves a relation out of I,
+        so it is no action on A: check-action and every verb that validates
+        the action end in exit 1, the witness the residue of v(r) - r."""
+        problem = tmp_path / "moved.prob"
+        problem.write_text(text, encoding="utf-8")
+        for argv in (["check-action"], ["check-pair", "--pair", "1"],
+                     ["invariants", "--pair", "1"], ["fppf", "--pair", "1"],
+                     ["cross-section", "--pair", "1"], ["pedestal"], ["stable"]):
+            code, out = invoke(capsys, argv[0], str(problem), *argv[1:])
+            assert code == 1, argv
+            assert "action-ideal-preserved: FAIL\naction-ideal-preserved-witness: " \
+                f"{witness}\n" in out, argv
+
+    def test_point_off_the_variety_is_refused(self, tmp_path, capsys):
+        """z2 = 5 is no point of V(z2): parsing refuses it before any verb
+        judges its stabilizer or its stability."""
+        problem = tmp_path / "off.prob"
+        problem.write_text(self.HEAD + "pair 1 g z1\npair 1 h 1 + z2\npoint 0 5\n",
+                           encoding="utf-8")
+        for argv in (["cross-section", "--pair", "1"], ["stable"]):
+            code = run([argv[0], str(problem), *argv[1:]])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "point (0, 5) is off V(I): relation z2 does not vanish there" \
+                in captured.err
+
+    # z2 and z3 are fixed, so the action preserves <z2*z3>
+    UNIPOTENT4 = ("field Q\nring z1 z2 z3 z4\nrelation z2*z3\ngroup dim 2 coords t1 t2\n"
                   "mult t1 = a1 + b1\nmult t2 = a2 + b2\ninv t1 = -t1\ninv t2 = -t2\n"
-                  "act z1 = z1 + t1\nact z2 = z2\nact z3 = z3 + t2\n")
+                  "act z1 = z1 + t1\nact z2 = z2\nact z3 = z3\nact z4 = z4 + t2\n")
 
     @pytest.mark.parametrize("text, H", [
         (HEAD + "pair 1 g z1\npair 1 h z2\n", "z2"),
         (HEAD.replace("relation z2", "relation z2^2") + "pair 1 g z1\npair 1 h z2\n", "z2"),
-        (UNIPOTENT3 + "pair 1 g z1\npair 1 h z2\npair 1 g z3\npair 1 h z3\n", "z2*z3"),
+        (UNIPOTENT4 + "pair 1 g z1\npair 1 h z2\npair 1 g z4\npair 1 h z3\n", "z2*z3"),
     ], ids=["h-in-I", "h-squared-in-I", "product-in-I"])
     def test_nilpotent_H_is_refused(self, tmp_path, capsys, text, H):
         """g/h is undefined in A when H is nilpotent there: the graph ideal is

@@ -43,6 +43,12 @@ VERBS = (
     ("semi-invariant", "--g", "x", "--h", "y", "--e", "1", "--q", "0"),
 )
 PROBLEM_NAMES = sorted(p.name for p in PROBLEMS.glob("*.prob"))
+# (problem, verb) calls beyond the VERBS table: x^2 - y + x is x in the ring of
+# gm_quotient.prob, so a semi-invariant of weight 1 there, but not in Q[x, y]
+EXTRA_CALLS = (
+    ("gm_quotient.prob",
+     ("semi-invariant", "--g", "x^2 - y + x", "--h", "1", "--e", "1", "--q", "1")),
+)
 # a `--relations` presentation of ten generators, on a problem that `nagata`
 # generates from these points
 NAGATA_KEY = "invariants nagata-5-3 --pair 1 --relations"
@@ -139,6 +145,7 @@ def run_nagata(directory: Path):
 def collect(directory: Path):
     golden = {call_key(name, verb): run_call(name, verb)
               for name in PROBLEM_NAMES for verb in VERBS}
+    golden.update((call_key(name, verb), run_call(name, verb)) for name, verb in EXTRA_CALLS)
     golden[NAGATA_KEY] = run_nagata(directory)
     return golden
 
@@ -158,14 +165,23 @@ def golden_failures():
 
 
 def test_golden_covers_every_call(golden):
-    assert sorted(golden) == sorted([call_key(n, v) for n in PROBLEM_NAMES
-                                     for v in VERBS] + [NAGATA_KEY])
+    assert sorted(golden) == sorted([call_key(n, v) for n in PROBLEM_NAMES for v in VERBS]
+                                    + [call_key(n, v) for n, v in EXTRA_CALLS]
+                                    + [NAGATA_KEY])
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @pytest.mark.parametrize("verb", VERBS, ids=lambda v: v[0])
 def test_report_matches_golden(golden, name, verb):
     assert run_call(name, verb) == golden[call_key(name, verb)]
+
+
+@pytest.mark.parametrize("name, verb", EXTRA_CALLS,
+                         ids=[call_key(name, verb) for name, verb in EXTRA_CALLS])
+def test_extra_call_matches_golden(golden, name, verb):
+    outcome = run_call(name, verb)
+    assert outcome == golden[call_key(name, verb)]
+    assert_json_agrees(outcome, run_call(name, verb, "--json"))
 
 
 def test_nagata_relations_match_golden(golden, tmp_path):

@@ -112,7 +112,7 @@ def test_importing_the_package_loads_no_submodule():
 # under its defining module
 EXPORTED = {
     "actions": ["CoAction", "GmCoAction", "gm_weight_components", "is_semi_invariant",
-                "validate_action", "validate_gm_action"],
+                "validate_action"],
     "cli": ["mukai_predicate"],
     "errors": ["AlgebraError", "InternalCheckError", "PairkitError", "ParseError",
                "UnsupportedMethodError", "ValidationError"],

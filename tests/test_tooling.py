@@ -517,10 +517,57 @@ def cross_multipliers(src_dir):
     return list(dict.fromkeys(found))
 
 
+PUSHFORWARDS = {"pushforward", "pushforward_poly", "apply"}
+
+
+def fraction_comparisons(path):
+    """The functions of one module, as "module:qualified name", that apply
+    `==` or `!=` to a computed value: a side holding arithmetic or a call of
+    a pushforward."""
+    found = []
+
+    def computed(side):
+        return any(isinstance(n, ast.BinOp) or (
+            isinstance(n, ast.Call) and getattr(n.func, "attr", None) in PUSHFORWARDS)
+            for n in ast.walk(side))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Compare) and \
+                any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and \
+                any(computed(side) for side in [node.left, *node.comparators]):
+            found.append(f"{path.name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return list(dict.fromkeys(found))
+
+
 def test_only_the_action_decides_equality_in_A():
-    """Equality of fractions modulo I is `CoAction.residue`; no second
-    cross-multiplication, which would ignore I, grows back."""
-    assert cross_multipliers(ROOT / "src" / "pairkit") == ["actions.py:CoAction.residue"]
+    """Equality of fractions modulo I is `BaseCoAction.residue`, for the
+    unipotent and the torus co-action alike: no second cross-multiplication,
+    and no `==` on pushed-forward or computed fractions in `actions.py`,
+    either of which would ignore I, grows back."""
+    src = ROOT / "src" / "pairkit"
+    assert cross_multipliers(src) == ["actions.py:BaseCoAction.residue"]
+    assert fraction_comparisons(src / "actions.py") == []
+
+
+def test_fraction_comparison_check_sees_every_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def scaled(a, g, h, w):\n    return a.pushforward(g) * h == g * w\n"
+        "def pushed(a, f):\n    return f != a.pushforward(f)\n"
+        "class C:\n    def method(self, f):\n"
+        "        def inner():\n            return self.apply(f, 1) == f\n"
+        "        return inner()\n"
+        "def powered(f, g):\n    return 1 < 2 and f == g ** 2\n"
+        "def plain(f, g, c, ring):\n"
+        "    return f == g or c != 1 or f.ring != ring or f == ring.var('w') or f < g + 1\n",
+        encoding="utf-8")
+    assert fraction_comparisons(tmp_path / "mod.py") == [
+        "mod.py:scaled", "mod.py:pushed", "mod.py:C.method.inner", "mod.py:powered"]
 
 
 def test_cross_multiplication_check_sees_every_form(tmp_path):
