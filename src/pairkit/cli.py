@@ -148,6 +148,9 @@ def cmd_check_pair(args) -> Report:
 def cmd_trdeg(args) -> Report:
     from .pairs import pair_from_problem, trdeg_and_rank
     problem = _require_unipotent(_load(args.file))
+    validation = _validated(problem, Report("trdeg"))
+    if not validation.passed:
+        return validation
     pair = pair_from_problem(problem, args.pair)
     report = Report("trdeg")
     report.info("pair", args.pair)

@@ -99,9 +99,8 @@ def verify_generators(action: CoAction, basis: InvariantBasis, probes) -> Report
     for probe in probes:
         if not action.is_invariant(probe):
             raise ValidationError(f"probe {probe.text()} is not invariant")
-        diff = action.residue(probe.subs_rational(f_map), probe)
-        report.check(f"probe[{probe.text()}]", diff.is_zero(),
-                     None if diff.is_zero() else diff.text())
+        report.check_equal(f"probe[{probe.text()}]", [probe.subs_rational(f_map)], [probe],
+                           action.residue)
     return report
 
 
@@ -178,7 +177,7 @@ def _rewrite_through(polys, basis, what: str):
 
 def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     """Induced co-action of G = G/ker(alpha) on fresh coordinates U, with
-    v_i(Z, Y) = v'_i(Z, alpha#(Y)) as exact identities.
+    v_i(Z, Y) = v'_i(Z, alpha#(Y)) in A[Y], each v'_i a normal form modulo I.
 
     Returns (new CoAction, Report).  The induced group law is recomputed by
     the same rewriting and re-validated rather than assumed.
@@ -194,10 +193,10 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     u_names = fresh_names("u", law.s, set(ring.names) | set(law.coords))
 
     # co-action and inversion: rewrite v_i and alpha(inv(Y)) over
-    # <u_j - alpha_j(Y)> with Y >> (Z, U); the generators do not involve Z
+    # <u_j - alpha_j(Y)> + I with Y >> (Z, U); the v'_i come out reduced mod I
     big = PolyRing(ring.names + law.coords + tuple(u_names), field)
     gens = [big.var(u) - a.cast(big) for u, a in zip(u_names, alpha.phi)]
-    basis = groebner(Ideal(big, gens),
+    basis = groebner(Ideal(big, gens + [r.cast(big) for r in action.relations]),
                      BlockOrder([big.index(y) for y in law.coords], big.nvars))
     v_new = _rewrite_through([v.cast(big) for v in action.v], basis, "co-action")
     new_ring_full = PolyRing(ring.names + tuple(u_names), field)
@@ -236,11 +235,11 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     report.check("induced-action-valid", action_report.passed,
                  ", ".join(action_report.failures) or None)
 
-    # defining identity v_i(Z, Y) = v'_i(Z, alpha#(Y))
+    # defining identity v_i(Z, Y) = v'_i(Z, alpha#(Y)) in A[Y]
     zy = action.big_ring.gens()
     Z, Y = zy[:ring.nvars], zy[ring.nvars:]
     report.check_equal("defining-identity", new_action.apply(Z, alpha.apply(Y)), action.v,
-                       ring.names)
+                       action.residue, ring.names)
     if not report.passed:
         raise InternalCheckError("factor_through_kernel self-checks failed: "
                                  + ", ".join(report.failures))

@@ -21,14 +21,13 @@ class Report:
             if witness:
                 self.entries.append((f"{key}-witness", witness))
 
-    def check_equal(self, key: str, got, expected, labels=None):
-        """Check got == expected componentwise; the witness is the first
-        differing component's difference, after its label when labels are
-        given."""
+    def check_equal(self, key: str, got, expected, residue, labels=None):
+        """Check got == expected componentwise: equal as written, or by the caller's
+        `residue(g, e)`, zero exactly when g = e (subtraction in a free ring, the
+        action's `residue` in A); the witness is the first nonzero residue."""
         for i, (g, e) in enumerate(zip(got, expected)):
-            if g != e:
-                diff = (g - e).text()
-                self.check(key, False, diff if labels is None else f"{labels[i]}: {diff}")
+            if g != e and (diff := residue(g, e)):
+                self.check(key, False, (f"{labels[i]}: " if labels else "") + diff.text())
                 return
         self.check(key, True)
 

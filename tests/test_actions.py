@@ -65,6 +65,36 @@ class TestValidateAction:
         assert report.passed and report.get("ideal-preserved") == "pass"
         assert action._basis is not None
 
+    def test_axioms_and_triviality_hold_modulo_the_relations(self):
+        """z1 -> z1 + t + t^2*z2 breaks compatibility by 2*a*b*z2 in the free
+        ring only, and z1 -> z1 + t*z2 is trivial on A though not on k[z]."""
+        head = "field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n" \
+               "mult t = a1 + b1\ninv t = -t\nact z2 = z2\n"
+        cases = {"z1 + t + t^2*z2": ("false", ["compatibility"]), "z1 + t*z2": ("true", [])}
+        for image, (trivial, free_failures) in cases.items():
+            action = parse_problem(head + f"act z1 = {image}\n").action
+            report = validate_action(action)
+            assert report.passed and report.get("fully-trivial") == trivial, image
+            free = validate_action(CoAction(action.law, action.ring, action.v, []))
+            assert free.failures == free_failures, image
+            assert free.get("fully-trivial") == "false", image
+
+    def test_free_ring_identities_build_no_residue(self, e1, heisenberg, monkeypatch):
+        """An identity that holds as written is settled by the comparison
+        alone: validating a valid action and testing triviality call
+        `residue` only for a component that differs."""
+        calls = []
+        real = BaseCoAction.residue
+        monkeypatch.setattr(BaseCoAction, "residue",
+                            lambda self, *args: calls.append(args) or real(self, *args))
+        for problem in (e1, heisenberg):
+            assert validate_action(problem.action).passed
+        assert calls == []
+        law = vector_law(1, QQ)
+        big = PolyRing(["z", "t"], QQ)
+        bad = CoAction(law, PolyRing(["z"], QQ), [big.var("z") + big.var("t") * big.var("z")], [])
+        assert validate_action(bad).failures == ["compatibility"] and len(calls) == 1
+
     def test_free_ring_reports_no_ideal_key(self, e1, gm_diag):
         for action in (e1.action, gm_diag.action):
             assert "ideal-preserved" not in dict(validate_action(action).entries)

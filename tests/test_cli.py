@@ -624,3 +624,66 @@ class TestRelationLines:
             ["relation z2", "relation z2*w - z1 + w"]
         code, out = invoke(capsys, "check-pair", str(cover), "--pair", "1")
         assert code == 0 and "identity: pass" in out
+
+
+class TestActionIdentitiesModuloI:
+    """The axioms, triviality, the kernel test and factoring are decided in
+    A = k[z]/I, as the pair identity is: an action written only modulo the
+    relations is judged by what it does on A."""
+
+    HEAD = ("field Q\nring z1 z2\nrelation z2\ngroup dim 1 coords t\n"
+            "mult t = a1 + b1\ninv t = -t\n")
+
+    def write(self, tmp_path, text, name="quotient.prob"):
+        problem = tmp_path / name
+        problem.write_text(text, encoding="utf-8")
+        return str(problem)
+
+    def test_action_written_modulo_I_passes(self, tmp_path, capsys):
+        """z1 -> z1 + t + t^2*z2: the two sides of compatibility differ by
+        2*a*b*z2 in the free ring, which is 0 in A[a, b]."""
+        problem = self.write(tmp_path, self.HEAD + "act z1 = z1 + t + t^2*z2\nact z2 = z2\n"
+                             "pair 1 g z1\npair 1 h 1\n")
+        code, out = invoke(capsys, "check-action", problem)
+        assert code == 0
+        assert "action-unit-axiom: pass\naction-compatibility: pass\n" in out
+        assert "action-fully-trivial: false\n" in out
+
+    def test_action_trivial_on_A_is_refused(self, tmp_path, capsys):
+        """z1 -> z1 + t*z2 moves z1 in the free ring only: on A it is the
+        trivial action, whose pairs are refused."""
+        problem = self.write(tmp_path, self.HEAD + "act z1 = z1 + t*z2\nact z2 = z2\n"
+                             "pair 1 g z1\npair 1 h 1\n")
+        code, out = invoke(capsys, "check-action", problem)
+        assert code == 0 and "action-fully-trivial: true\n" in out
+        code = run(["check-pair", problem, "--pair", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the action is fully trivial" in captured.err
+
+    def test_frobenius_kernel_acts_trivially_modulo_I(self, tmp_path, capsys):
+        """Over F_2 with alpha = t^2, v(z1) - z1 = t^2 + t*z2 is t*z2 modulo
+        the kernel <t^2>, and 0 in A[t]: the pair is quasi-principle, and the
+        action factors, its induced images reduced modulo I."""
+        problem = self.write(tmp_path, "field Fp 2\nring z1 z2\nrelation z2\n"
+                             "group dim 1 coords t\nmult t = a1 + b1\ninv t = t\n"
+                             "endo t = t^2\nact z1 = z1 + t^2 + t*z2\nact z2 = z2\n"
+                             "pair 1 g z1\npair 1 h 1\n")
+        code, out = invoke(capsys, "check-pair", problem, "--pair", "1")
+        assert code == 0 and "classification: quasi-principle\n" in out
+        induced = tmp_path / "induced.prob"
+        code, out = invoke(capsys, "factor", problem, "--emit", str(induced))
+        assert code == 0 and "defining-identity: pass\n" in out
+        assert "induced-act[z1]: z1 + u\ninduced-act[z2]: 0\n" in out
+        code, out = invoke(capsys, "invariants", str(induced), "--pair", "1")
+        assert code == 0 and "classification: principle\n" in out
+
+    def test_trdeg_validates_the_action(self, tmp_path, capsys):
+        """z2 -> z2 + t*z1 is no action on k[z1, z2]/<z2>: trdeg, like
+        check-pair, reports the failed validation instead of a degree."""
+        problem = self.write(tmp_path, self.HEAD + "act z1 = z1\nact z2 = z2 + t*z1\n"
+                             "pair 1 g z2\npair 1 h z1\n")
+        for verb in ("check-pair", "trdeg"):
+            code, out = invoke(capsys, verb, problem, "--pair", "1")
+            assert code == 1, verb
+            assert "action-ideal-preserved: FAIL\n" in out and "trdeg: " not in out, verb

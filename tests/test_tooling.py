@@ -14,8 +14,10 @@ back to, the relation ideal travels with the action alone,
 `cli.py` and the package import no algebra module when they are loaded,
 only `fields.py` imports `fractions` or divides coefficients with `/`,
 a principle pair without relations is checked without Buchberger, every
-function in `src/` has a caller there or is exported, and fractions are
-cross-multiplied only in `poly.py` and `CoAction.residue`."""
+function in `src/` has a caller there or is exported, fractions are
+cross-multiplied only in `poly.py` and `BaseCoAction.residue`, and
+`actions.py`, `pairs.py` and `invariants.py` never compare an action's
+images with `==` or `!=`."""
 
 import ast
 import importlib
@@ -522,37 +524,50 @@ PUSHFORWARDS = {"pushforward", "pushforward_poly", "apply"}
 
 def fraction_comparisons(path):
     """The functions of one module, as "module:qualified name", that apply
-    `==` or `!=` to a computed value: a side holding arithmetic or a call of
-    a pushforward."""
+    `==` or `!=` to a computed value or to an action's images: a side
+    holding arithmetic, a call of a pushforward, a `.v` attribute, or a name
+    bound by a loop or comprehension over one of these."""
     found = []
 
-    def computed(side):
-        return any(isinstance(n, ast.BinOp) or (
-            isinstance(n, ast.Call) and getattr(n.func, "attr", None) in PUSHFORWARDS)
-            for n in ast.walk(side))
+    def computed(side, images):
+        return any(isinstance(n, ast.BinOp)
+                   or (isinstance(n, ast.Attribute) and n.attr == "v")
+                   or (isinstance(n, ast.Call)
+                       and getattr(n.func, "attr", None) in PUSHFORWARDS)
+                   or (isinstance(n, ast.Name) and n.id in images)
+                   for n in ast.walk(side))
 
-    def visit(node, scope):
+    def visit(node, scope, images):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            scope = scope + [node.name]
+            scope, images = scope + [node.name], set()
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            images = set(images)
+            for gen in node.generators:
+                if computed(gen.iter, images):
+                    images |= _bound(gen.target)
+        elif isinstance(node, ast.For) and computed(node.iter, images):
+            images = images | _bound(node.target)
         if isinstance(node, ast.Compare) and \
                 any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and \
-                any(computed(side) for side in [node.left, *node.comparators]):
+                any(computed(side, images) for side in [node.left, *node.comparators]):
             found.append(f"{path.name}:{'.'.join(scope)}")
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, scope, images)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    visit(ast.parse(path.read_text(encoding="utf-8")), [], set())
     return list(dict.fromkeys(found))
 
 
 def test_only_the_action_decides_equality_in_A():
     """Equality of fractions modulo I is `BaseCoAction.residue`, for the
     unipotent and the torus co-action alike: no second cross-multiplication,
-    and no `==` on pushed-forward or computed fractions in `actions.py`,
-    either of which would ignore I, grows back."""
+    and no `==` on an action's images or on pushed-forward or computed
+    fractions in `actions.py`, `pairs.py` or `invariants.py`, any of which
+    would ignore I, grows back."""
     src = ROOT / "src" / "pairkit"
     assert cross_multipliers(src) == ["actions.py:BaseCoAction.residue"]
-    assert fraction_comparisons(src / "actions.py") == []
+    assert [found for name in ("actions.py", "pairs.py", "invariants.py")
+            for found in fraction_comparisons(src / name)] == []
 
 
 def test_fraction_comparison_check_sees_every_form(tmp_path):
@@ -562,12 +577,22 @@ def test_fraction_comparison_check_sees_every_form(tmp_path):
         "class C:\n    def method(self, f):\n"
         "        def inner():\n            return self.apply(f, 1) == f\n"
         "        return inner()\n"
+        "    def is_trivial(self):\n"
+        "        return all(v == self.big_ring.var(n) for v, n in zip(self.v, self.ring.names))\n"
+        "def kernel_identity(action, alpha):\n"
+        "    gens = action.ring.gens()\n"
+        "    return action.apply(gens, [action.ring.zero()] * alpha.law.s) == gens\n"
+        "def looped(action, gens):\n"
+        "    for image, z in zip(action.v, gens):\n"
+        "        if image != z:\n            return False\n"
         "def powered(f, g):\n    return 1 < 2 and f == g ** 2\n"
-        "def plain(f, g, c, ring):\n"
-        "    return f == g or c != 1 or f.ring != ring or f == ring.var('w') or f < g + 1\n",
+        "def plain(f, g, c, ring, action):\n"
+        "    return f == g or c != 1 or f.ring != ring or f == ring.var('w') or f < g + 1 \\\n"
+        "        or action.v is g or [v == 1 for v in g]\n",
         encoding="utf-8")
     assert fraction_comparisons(tmp_path / "mod.py") == [
-        "mod.py:scaled", "mod.py:pushed", "mod.py:C.method.inner", "mod.py:powered"]
+        "mod.py:scaled", "mod.py:pushed", "mod.py:C.method.inner", "mod.py:C.is_trivial",
+        "mod.py:kernel_identity", "mod.py:looped", "mod.py:powered"]
 
 
 def test_cross_multiplication_check_sees_every_form(tmp_path):
