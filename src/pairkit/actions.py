@@ -57,18 +57,16 @@ class BaseCoAction:
         """The cross-multiplied numerator of lhs - rhs in normal form modulo I,
         zero exactly when lhs = rhs in A (in A[Y] on k[Z, coords]); rhs is cast
         into lhs's ring.  The reduced grevlex basis of I is built in k[Z] once,
-        at the first nonzero numerator, and cast into the numerator's ring:
-        grevlex there restricts to grevlex on k[Z], so the leads stay leads."""
+        at the first nonzero numerator, and cast into the numerator's ring."""
         ring = lhs.ring
         lhs = RationalFunction.from_poly(lhs) if isinstance(lhs, Polynomial) else lhs
         rhs = RationalFunction.one(ring) * rhs.cast(ring)     # rhs may be a polynomial
         diff = lhs.num * rhs.den - rhs.num * lhs.den
         if diff.is_zero() or not self.relations:
             return diff
-        from .gbasis import GroebnerBasis, Ideal, groebner, normal_form
+        from .gbasis import Ideal, groebner, normal_form
         self._basis = self._basis or groebner(Ideal(self.ring, self.relations))
-        basis = GroebnerBasis(ring, self._basis.order, [p.cast(ring) for p in self._basis])
-        return normal_form(diff, basis)
+        return normal_form(diff, self._basis.cast(ring))
 
     def equal(self, got, expected) -> bool:
         """Whether two tuples agree in A componentwise: as written or, if I != 0, by `residue`."""

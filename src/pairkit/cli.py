@@ -202,6 +202,9 @@ def cmd_factor(args) -> Report:
     problem = _require_unipotent(_load(args.file))
     if problem.endo is None:
         raise ValidationError("factor requires an endo section (alpha)")
+    validation = _validated(problem, Report("factor-through-kernel"))
+    if not validation.passed:
+        return validation
     new_action, report = factor_through_kernel(problem.action, problem.endo)
     for name in problem.ring.names:
         report.info(f"induced-act[{name}]", new_action.v_for(name).text())

@@ -55,6 +55,17 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.polys)
 
+    def cast(self, ring: PolyRing) -> "GroebnerBasis":
+        """This grevlex basis in a larger `ring` that keeps its variables in
+        their relative order, as the reduced basis there of the ideal it
+        generates: grevlex on `ring` restricts to grevlex on this basis's
+        ring, so the leads stay leads and the normal forms stay unique."""
+        return GroebnerBasis(ring, self.order, [p.cast(ring) for p in self.polys])
+
+    def dimension(self) -> int:
+        """Krull dimension of ring/I, read off the leads; -1 for the unit ideal."""
+        return lead_dimension([p.leading(self.order)[0] for p in self.polys], self.ring.nvars)
+
     def __repr__(self):
         inside = ", ".join(p.text() for p in self.polys) or "0"
         return f"GB[{self.order!r}]{{{inside}}}"
@@ -274,8 +285,7 @@ def eliminate(ideal: Ideal, keep) -> Ideal:
 def ideal_dimension(ideal: Ideal) -> int:
     """Krull dimension of ring/I, read off its GREVLEX leading terms; -1 for
     the unit ideal."""
-    basis = buchberger(ideal.nonzero_gens(), GREVLEX)
-    return lead_dimension([p.leading(GREVLEX)[0] for p in basis], ideal.ring.nvars)
+    return groebner(ideal).dimension()
 
 
 def lead_dimension(leads, nvars: int) -> int:

@@ -73,7 +73,7 @@ class Endomorphism:
     """A polynomial self-map of the group coordinates (candidate member of
     the endomorphism monoid; run validate_endomorphism to certify)."""
 
-    __slots__ = ("law", "phi")
+    __slots__ = ("law", "phi", "_kernel")
 
     def __init__(self, law: GroupLaw, phi):
         phi = list(phi)
@@ -81,6 +81,15 @@ class Endomorphism:
             raise ValidationError(f"endomorphism needs {law.s} coordinate polynomials")
         self.law = law
         self.phi = [p.cast(law.coords_ring) for p in phi]
+        self._kernel = None
+
+    def kernel_basis(self) -> "GroebnerBasis":
+        """The reduced grevlex basis of ker(alpha) = <phi> in k[coords],
+        built once, at the first call."""
+        if self._kernel is None:
+            from .gbasis import groebner
+            self._kernel = groebner(kernel_ideal(self.law, self))
+        return self._kernel
 
     def apply(self, u):
         """phi(u) for an s-tuple u of polynomials in one ring."""
@@ -153,8 +162,7 @@ def is_surjective(law: GroupLaw, endo: Endomorphism) -> bool:
     """Finite (dimension-0) kernel criterion: for a connected group, an
     endomorphism with finite kernel has dense full-dimensional closed image.
     The identity's kernel <t_1..t_s> has dimension 0 without a basis."""
-    from .gbasis import ideal_dimension
-    return endo.is_identity() or ideal_dimension(kernel_ideal(law, endo)) == 0
+    return endo.is_identity() or endo.kernel_basis().dimension() == 0
 
 
 SURJECTIVITY_NOTE = ("surjectivity decided by the finite-kernel criterion "

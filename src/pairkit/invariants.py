@@ -15,7 +15,7 @@ from .errors import AlgebraError, InternalCheckError, ValidationError
 from .fields import QQ, rational
 from .gbasis import Ideal, eliminate, groebner, normal_form, poly_divmod
 from .groups import (Endomorphism, GroupLaw, is_surjective, mult_var_names,
-                     validate_group_law)
+                     validate_endomorphism, validate_group_law)
 from .linalg import ExactMatrix, formal_jacobian_rank
 from .orders import BlockOrder
 from .pairs import AlphaPair, graph_ideal, kernel_acts_trivially
@@ -159,30 +159,19 @@ def cross_section_report(action: CoAction, pair: AlphaPair, points=()) -> Report
 # -- factoring through the kernel ------------------------------------------------
 
 
-def _rewrite_through(polys, basis, what: str):
-    """Normal forms of `polys` against a basis of <x - image(x)> under a
-    block order front >> back; residual dependence on the front raises."""
-    front = {basis.ring.names[i] for i in basis.order.front}
-    out = []
-    for p in polys:
-        reduced = normal_form(p, basis)
-        left = reduced.variables_used() & front
-        if left:
-            raise ValidationError(
-                f"{what} cannot be rewritten through alpha: residual "
-                f"dependence on {sorted(left)} in {reduced.text()}")
-        out.append(reduced)
-    return out
-
-
 def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     """Induced co-action of G = G/ker(alpha) on fresh coordinates U, with
     v_i(Z, Y) = v'_i(Z, alpha#(Y)) in A[Y], each v'_i a normal form modulo I.
 
-    Returns (new CoAction, Report).  The induced group law is recomputed by
-    the same rewriting and re-validated rather than assumed.
+    Returns (new CoAction, Report).  The induced group law is the law itself
+    in u = alpha(Y), as alpha(m(A, B)) = m(alpha(A), alpha(B)) and
+    alpha(inv(Y)) = inv(alpha(Y)); it is re-validated rather than assumed.
     """
     law = alpha.law
+    endo_report = validate_endomorphism(law, alpha)
+    if not endo_report.passed:
+        raise ValidationError("factor_through_kernel requires an endomorphism of the "
+                              "group law; failed: " + ", ".join(endo_report.failures))
     if not is_surjective(law, alpha):
         raise ValidationError("factor_through_kernel requires a surjective alpha")
     if not kernel_acts_trivially(action, alpha):
@@ -192,39 +181,26 @@ def factor_through_kernel(action: CoAction, alpha: Endomorphism):
     field = ring.field
     u_names = fresh_names("u", law.s, set(ring.names) | set(law.coords))
 
-    # co-action and inversion: rewrite v_i and alpha(inv(Y)) over
-    # <u_j - alpha_j(Y)> + I with Y >> (Z, U); the v'_i come out reduced mod I
+    # rewrite v_i over <u_j - alpha_j(Y)> + I with Y >> (Z, U); the v'_i come
+    # out reduced mod I
     big = PolyRing(ring.names + law.coords + tuple(u_names), field)
     gens = [big.var(u) - a.cast(big) for u, a in zip(u_names, alpha.phi)]
     basis = groebner(Ideal(big, gens + [r.cast(big) for r in action.relations]),
                      BlockOrder([big.index(y) for y in law.coords], big.nvars))
-    v_new = _rewrite_through([v.cast(big) for v in action.v], basis, "co-action")
     new_ring_full = PolyRing(ring.names + tuple(u_names), field)
-    v_new = [p.cast(new_ring_full) for p in v_new]
+    v_new = []
+    for v in action.v:
+        reduced = normal_form(v.cast(big), basis)
+        left = reduced.variables_used() & set(law.coords)
+        if left:
+            raise ValidationError(
+                "co-action cannot be rewritten through alpha: residual "
+                f"dependence on {sorted(left)} in {reduced.text()}")
+        v_new.append(reduced.cast(new_ring_full))
 
-    # induced multiplication: rewrite alpha(m(A, B)) over the alpha-images of
-    # both factors, then rename the primed variables to the standard a/b ones
-    s = law.s
-    ab_names = law.mult_ring.names
-    ap_names = fresh_names("ap", s, ab_names, numbered=True)
-    bp_names = fresh_names("bp", s, set(ab_names) | set(ap_names), numbered=True)
-    big2 = law.mult_ring.extend(ap_names + bp_names)
-    vars2 = big2.gens()
-    A, B, primed = vars2[:s], vars2[s:2 * s], vars2[2 * s:]
-    gens2 = [p - img for p, img in zip(primed, alpha.apply(A) + alpha.apply(B))]
-    basis2 = groebner(Ideal(big2, gens2), BlockOrder(range(2 * s), big2.nvars))
-    m_new = _rewrite_through(alpha.apply(law.multiply_tuples(A, B)), basis2,
-                             "multiplication")
-    m_new = [p.cast(law.mult_ring, rename=dict(zip(ap_names + bp_names, ab_names)))
-             for p in m_new]
-
-    # induced inversion: rewrite alpha(inv(Y)) against the co-action's basis
-    inv_new = _rewrite_through([p.cast(big) for p in alpha.apply(law.inv)], basis,
-                               "inversion")
-    new_coords_ring = PolyRing(u_names, field)
-    inv_new = [p.cast(new_coords_ring) for p in inv_new]
-
-    new_law = GroupLaw(u_names, field, m_new, inv_new)
+    u_ring = PolyRing(u_names, field)
+    new_law = GroupLaw(u_names, field, law.mult,
+                       [p.cast(u_ring, rename=dict(zip(law.coords, u_names))) for p in law.inv])
     new_action = CoAction(new_law, ring, v_new, action.relations)
 
     report = Report("factor-through-kernel")

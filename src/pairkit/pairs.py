@@ -12,9 +12,9 @@ import math
 from .actions import CoAction, validate_action
 from .errors import InternalCheckError, ValidationError
 from .gbasis import Ideal, eliminate, groebner, lead_dimension, normal_form, saturate
-from .groups import Endomorphism, GroupLaw, is_surjective, kernel_ideal
+from .groups import Endomorphism, GroupLaw, is_surjective
 from .linalg import formal_jacobian_rank
-from .orders import GREVLEX, BlockOrder
+from .orders import GREVLEX
 from .poly import Polynomial, PolyRing, RationalFunction, fresh_names
 from .problem import ProblemFile
 from .report import Report
@@ -143,17 +143,16 @@ def transcendence_degree(functions, relations=None) -> int:
 
 def kernel_acts_trivially(action: CoAction, alpha: Endomorphism) -> bool:
     """Scheme-theoretic test: v(Z, Y) = Z in A[Y]/K, K the kernel ideal of alpha
-    (so infinitesimal kernels such as <t^2> are honored).  Reduced modulo K's
-    basis, which lies in k[Y], v_i - z_i is a sum of K's standard monomials
-    over k[Z]; it lies in K + I exactly when each coefficient lies in I, which
-    `residue` decides.  For the identity: v(Z, 0) = Z, with no Groebner basis."""
+    (so infinitesimal kernels such as <t^2> are honored).  Reduced modulo
+    alpha's basis of K, which lies in k[Y], v_i - z_i is a sum of K's standard
+    monomials over k[Z]; it lies in K + I exactly when each coefficient lies
+    in I, which `residue` decides.  For the identity: v(Z, 0) = Z, with no
+    Groebner basis."""
     ring = action.ring
     if alpha.is_identity():
         return action.equal(action.apply(ring.gens(), action.identity(ring)), ring.gens())
     big = action.big_ring
-    kernel = [p.cast(big) for p in kernel_ideal(alpha.law, alpha).nonzero_gens()]
-    front = [big.index(n) for n in alpha.law.coords]
-    basis = groebner(Ideal(big, kernel), BlockOrder(front, big.nvars))
+    basis = alpha.kernel_basis().cast(big)
     return action.equal([normal_form(v, basis) for v in action.v], big.gens()[:ring.nvars])
 
 

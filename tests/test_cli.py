@@ -687,3 +687,35 @@ class TestActionIdentitiesModuloI:
             code, out = invoke(capsys, verb, problem, "--pair", "1")
             assert code == 1, verb
             assert "action-ideal-preserved: FAIL\n" in out and "trdeg: " not in out, verb
+
+
+class TestFactorRefusals:
+    """factor validates the law, the action and alpha before it factors: a
+    bad law or action is a failed check (exit 1), an alpha that is no
+    endomorphism an input error (exit 2), neither a failed self-check."""
+
+    def write(self, tmp_path, text):
+        problem = tmp_path / "factor.prob"
+        problem.write_text(text, encoding="utf-8")
+        return str(problem)
+
+    def test_invalid_law_is_a_failed_check(self, tmp_path, capsys):
+        """Over F_2, t -> t is no inverse for a + b + a*b: its witness is t^2."""
+        problem = self.write(tmp_path, "field Fp 2\nring z1 z2\ngroup dim 1 coords t\n"
+                             "mult t = a1 + b1 + a1*b1\ninv t = t\nendo t = t^2\n"
+                             "act z1 = z1\nact z2 = z2 + t^2*z1\n")
+        code, out = invoke(capsys, "factor", problem)
+        assert code == 1
+        assert "law-inverse-right: FAIL\n" in out and "induced-act" not in out
+
+    def test_alpha_that_is_no_homomorphism_is_refused(self, tmp_path, capsys):
+        """t -> t + t^2 does not respect a + b; the action itself is valid."""
+        problem = self.write(tmp_path, "field Q\nring z1 z2\ngroup dim 1 coords t\n"
+                             "mult t = a1 + b1\ninv t = -t\nendo t = t + t^2\n"
+                             "act z1 = z1\nact z2 = z2 + t*z1\n")
+        code, _ = invoke(capsys, "check-action", problem)
+        assert code == 0
+        code = run(["factor", problem])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "multiplication-compatibility" in captured.err

@@ -17,7 +17,7 @@ a principle pair without relations is checked without Buchberger, every
 function in `src/` has a caller there or is exported, fractions are
 cross-multiplied only in `poly.py` and `BaseCoAction.residue`, and
 `actions.py`, `pairs.py` and `invariants.py` never compare an action's
-images with `==` or `!=`."""
+images with `==` or `!=`, and ker(alpha) is generated in `groups.py` alone."""
 
 import ast
 import importlib
@@ -29,6 +29,7 @@ from conftest import ROOT, load
 
 from pairkit import gbasis
 from pairkit.groups import validate_group_law
+from pairkit.invariants import factor_through_kernel
 from pairkit.pairs import check_alpha_pair, pair_from_problem
 from pairkit.problem import parse_problem
 
@@ -765,7 +766,24 @@ def test_principle_pair_check_runs_no_buchberger(name, buchberger_calls):
     assert buchberger_calls == []
 
 
-def test_non_identity_alpha_still_reaches_buchberger(e2, buchberger_calls):
-    pair = pair_from_problem(e2, 1)
-    assert check_alpha_pair(e2.action, pair).passed and pair.quasi_principle
-    assert buchberger_calls
+def test_non_identity_alpha_still_reaches_buchberger(buchberger_calls):
+    """alpha's one basis of ker(alpha) serves both the surjectivity test and
+    the kernel test; factoring adds the co-action rewrite alone."""
+    for name in ("e2.prob", "e2_frob2.prob"):
+        problem = load(name)
+        pair = pair_from_problem(problem, 1)
+        buchberger_calls.clear()
+        assert check_alpha_pair(problem.action, pair).passed and pair.quasi_principle
+        assert len(buchberger_calls) == 1, name
+        problem = load(name)
+        buchberger_calls.clear()
+        factor_through_kernel(problem.action, problem.endo)
+        assert len(buchberger_calls) == 2, name
+
+
+def test_the_endomorphism_owns_its_kernel():
+    """ker(alpha) = <phi> is generated in `groups.py` alone, and the kernel
+    test reduces against alpha's grevlex basis, with no block order."""
+    src = ROOT / "src" / "pairkit"
+    assert outside_calls(src, "groups.py", {"kernel_ideal"}) == []
+    assert "BlockOrder" not in (src / "pairs.py").read_text(encoding="utf-8")
